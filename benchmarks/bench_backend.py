@@ -6,13 +6,12 @@ For each arity ``n`` and the four canonical ``Γn`` problems of
 ``feasible-point``, ``infeasible-system`` — the script runs the *row
 generation* path through each solver backend:
 
-* ``scipy``          — the historical loop: every cutting-plane round is a
-                       fresh ``linprog`` call on the stacked active set;
-* ``scipy-incremental`` — the incremental loop (keyed rows, slack-row
-                       deletion, anti-cycling guard) on scipy solves: the
-                       row-bookkeeping ablation without warm starts;
+* ``scipy``          — the shared loop on scipy: every cutting-plane round
+                       is a fresh ``linprog`` call on the keyed active set,
+                       which keeps its slack rows;
 * ``highs-cold``     — the native ``highspy`` model, re-solved from scratch
-                       each round (``clearSolver`` before every ``run``);
+                       each round (``clearSolver`` before every ``run``) and,
+                       like scipy, keeping its slack rows;
 * ``highs-warm``     — the full incremental backend: one persistent model,
                        ``addRows``/``deleteRows`` between rounds, every
                        re-solve warm-started from the incumbent basis.
@@ -48,7 +47,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = (6, 8, 10, 12)
 PROBLEMS = ("valid-han", "invalid-pair", "feasible-point", "infeasible-system")
-BACKEND_CONFIGS = ("scipy", "scipy-incremental", "highs-cold", "highs-warm")
+BACKEND_CONFIGS = ("scipy", "highs-cold", "highs-warm")
 SEED_SIZES = (6, 8, 10, 12)
 
 
@@ -80,7 +79,7 @@ def _make_backend(config: str):
     """Resolve a benchmark backend config to an LPBackend instance."""
     from repro.lp.backends import HighsBackend, resolve_backend
 
-    if config in ("scipy", "scipy-incremental"):
+    if config == "scipy":
         return resolve_backend(config)
     backend = HighsBackend()  # raises LPError when highspy is absent
 
@@ -88,9 +87,14 @@ def _make_backend(config: str):
         return backend
 
     class _ColdHighsBackend(HighsBackend):
-        """highspy without warm starts: clearSolver before every run."""
+        """highspy without warm starts: clearSolver before every run.
+
+        Not warm-started, so the loops keep slack rows, as on scipy:
+        deleting them only pays off when the basis carries over.
+        """
 
         name = "highs-cold"
+        warm_started = False
 
         def incremental_model(self, *args, **kwargs):
             model = super().incremental_model(*args, **kwargs)
@@ -99,16 +103,6 @@ def _make_backend(config: str):
             return model
 
     return _ColdHighsBackend()
-
-
-def _rowgen_options(config: str):
-    from repro.lp.rowgen import RowGenOptions
-
-    # The cold configurations model a per-round rebuild, so slack-row
-    # deletion (which only pays off when the model persists) stays off.
-    if config == "highs-cold":
-        return RowGenOptions(drop_slack_rows=False)
-    return RowGenOptions()
 
 
 def run_cell(n: int, problem: str, config: str) -> dict:
@@ -128,7 +122,6 @@ def run_cell(n: int, problem: str, config: str) -> dict:
     ground, han, bad = _expressions(n)
     oracle = shannon_row_oracle(ground)
     backend = _make_backend(config)
-    options = _rowgen_options(config)
     started = time.perf_counter()
     if problem in ("valid-han", "invalid-pair"):
         expression = han if problem == "valid-han" else bad
@@ -144,10 +137,7 @@ def run_cell(n: int, problem: str, config: str) -> dict:
             A_ub=total_row,
             b_ub=np.array([1.0]),
             bounds=(0, 1),
-            options=RowGenOptions(
-                early_stop_objective=-1e-9,
-                drop_slack_rows=options.drop_slack_rows,
-            ),
+            options=RowGenOptions(early_stop_objective=-1e-9),
             backend=backend,
         )
         seconds = time.perf_counter() - started
@@ -161,7 +151,7 @@ def run_cell(n: int, problem: str, config: str) -> dict:
         for subset, coefficient in branch.coefficients.items():
             row[0, lattice.canon_pos[lattice.mask_of(subset)] - 1] += coefficient
         feasible, _, report = check_feasibility_lazy(
-            width, oracle, A_ub=row, b_ub=[-1.0], options=options, backend=backend
+            width, oracle, A_ub=row, b_ub=[-1.0], backend=backend
         )
         seconds = time.perf_counter() - started
         verdict = "point-found" if feasible else "no-point"
@@ -321,9 +311,9 @@ def main(argv=None) -> int:
     report = {
         "experiment": "E15-backend-grid",
         "description": (
-            "Row-generation Γn decisions across solver backends (scipy per-round "
-            "rebuild, incremental bookkeeping on scipy, cold and warm-started "
-            "native highspy) on the E14 problem grid, plus the Eq. (8) "
+            "Row-generation Γn decisions across solver backends (scipy, cold "
+            "and warm-started native highspy) on the E14 problem grid, plus "
+            "the Eq. (8) "
             "containment-seed comparison (generic vs |K|<=1 seeding); fresh "
             "subprocess per cell, per-cell budget"
         ),

@@ -11,6 +11,10 @@ Two classes of rot this catches:
   ``repro <group> <subcommand>``) named in the docs must exist in the real
   parser built by ``repro.cli.build_parser()``.  Docs that mention a
   renamed or removed command fail the job.
+* **Phantom CLI flags** — every ``--flag`` written after such a command on
+  the same line (up to the end of its inline code span or a ``#`` comment)
+  must be an option of that subparser.  For ``|``-joined alternatives it
+  must belong to at least one of them.
 
 Run from the repo root::
 
@@ -31,6 +35,7 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # ``|``-joined alternation lists as in usage lines (``daemon run|start``).
 # Spaces only (no newlines), and not ``from repro import ...``.
 CLI_RE = re.compile(r"(?<!from )\brepro +([a-z][a-z|-]*)(?: +([a-z][a-z|-]*))?")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
 def doc_files():
@@ -73,7 +78,7 @@ def check_links(path, errors):
 
 
 def parser_commands():
-    """Top-level subcommands and their nested subcommands, from the parser."""
+    """Top-level and nested subparsers, keyed by name, from the real parser."""
     from repro.cli import build_parser
 
     def sub_actions(parser):
@@ -83,29 +88,50 @@ def parser_commands():
         return {}
 
     top = sub_actions(build_parser())
-    nested = {name: set(sub_actions(sub)) for name, sub in top.items()}
-    return set(top), nested
+    nested = {name: sub_actions(sub) for name, sub in top.items()}
+    return top, nested
+
+
+def flag_segment(line, start):
+    """The part of ``line`` after a command that can carry that command's flags."""
+    segment = line[start:]
+    for stop in ("`", " #"):
+        segment = segment.split(stop, 1)[0]
+    match = CLI_RE.search(segment)
+    return segment[: match.start()] if match else segment
 
 
 def check_cli_references(path, top, nested, errors):
-    for match in CLI_RE.finditer(path.read_text()):
-        first, second = match.group(1), match.group(2)
-        for cmd in first.split("|"):
-            if cmd not in top:
-                errors.append(
-                    f"{path.relative_to(REPO_ROOT)}: docs name "
-                    f"'repro {cmd}' but the CLI has no such subcommand"
-                )
-        # Only check the second word against groups that actually have
-        # nested subcommands ("repro batch pairs.txt" has no group).
-        if second and "|" not in first and nested.get(first):
-            for cmd in second.split("|"):
-                if cmd not in nested[first]:
+    for line in path.read_text().splitlines():
+        for match in CLI_RE.finditer(line):
+            first, second = match.group(1), match.group(2)
+            where = f"{path.relative_to(REPO_ROOT)}: docs name"
+            for cmd in first.split("|"):
+                if cmd not in top:
+                    errors.append(f"{where} 'repro {cmd}' but the CLI has no such subcommand")
+            if any(cmd not in top for cmd in first.split("|")):
+                continue
+            parsers = [top[cmd] for cmd in first.split("|")]
+            command = first
+            # Only check the second word against groups that actually have
+            # nested subcommands ("repro batch pairs.txt" has no group).
+            if second and "|" not in first and nested[first]:
+                missing = [cmd for cmd in second.split("|") if cmd not in nested[first]]
+                for cmd in missing:
                     errors.append(
-                        f"{path.relative_to(REPO_ROOT)}: docs name "
-                        f"'repro {first} {cmd}' but 'repro {first}' has no "
+                        f"{where} 'repro {first} {cmd}' but 'repro {first}' has no "
                         f"'{cmd}' subcommand"
                     )
+                if missing:
+                    continue
+                parsers = [nested[first][cmd] for cmd in second.split("|")]
+                command = f"{first} {second}"
+            known = set()
+            for parser in parsers:
+                known.update(parser._option_string_actions)
+            for flag in FLAG_RE.findall(flag_segment(line, match.end())):
+                if flag not in known:
+                    errors.append(f"{where} '{flag}' on 'repro {command}' but it has no such flag")
 
 
 def main():

@@ -64,6 +64,7 @@ from repro.cq.parser import parse_query
 from repro.cq.query import ConjunctiveQuery
 from repro.cq.structures import Structure
 from repro.exceptions import ReproError
+from repro.lp.backends import BACKEND_NAMES
 from repro.obs import tracer as obs_tracer
 from repro.service import BatchOptions, ContainmentService
 from repro.service.daemon import (
@@ -75,7 +76,6 @@ from repro.service.daemon import (
     spawn_daemon,
     stop_daemon,
 )
-from repro.service.engine import WORKER_MODES
 from repro.service.fleet import (
     fleet_metrics,
     fleet_status,
@@ -258,7 +258,6 @@ _DAEMON_SIDE_FLAGS = (
     ("lp_backend", "auto", "--lp-backend"),
     ("chunk_size", 32, "--chunk-size"),
     ("jobs", 1, "--jobs"),
-    ("worker_mode", "auto", "--worker-mode"),
     ("budget", None, "--budget"),
     ("store", None, "--store"),
 )
@@ -343,7 +342,6 @@ def _cmd_batch(args, out) -> int:
             on_error="capture",
             lp_method=args.lp_method,
             lp_backend=args.lp_backend,
-            worker_mode=args.worker_mode,
             deadline=args.deadline,
             store_path=args.store,
         )
@@ -391,7 +389,6 @@ def _daemon_options(args) -> BatchOptions:
         on_error="capture",
         lp_method=args.lp_method,
         lp_backend=args.lp_backend,
-        worker_mode=args.worker_mode,
         store_path=args.store,
     )
 
@@ -411,7 +408,6 @@ def _daemon_run_args(args) -> List[str]:
         "--method", args.method,
         "--lp-method", args.lp_method,
         "--lp-backend", args.lp_backend,
-        "--worker-mode", args.worker_mode,
         "--chunk-size", str(args.chunk_size),
         "--jobs", str(args.jobs),
         "--shed-policy", args.shed_policy,
@@ -675,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     contain.add_argument(
         "--lp-backend",
         default="auto",
-        choices=["auto", "scipy", "highs", "scipy-incremental"],
+        choices=list(BACKEND_NAMES),
         help=(
             "LP solver backend: scipy's one-shot HiGHS vs the native incremental "
             "highspy driver (default auto = highs when installed, else scipy)"
@@ -1029,7 +1025,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_verify.add_argument(
         "--lp-backend",
         default="auto",
-        choices=["auto", "scipy", "highs", "scipy-incremental"],
+        choices=list(BACKEND_NAMES),
         help="backend for the Farkas feasibility recheck (default auto)",
     )
     cache_verify.set_defaults(handler=_cmd_cache_verify)
@@ -1082,7 +1078,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-backend",
         default="auto",
-        choices=["auto", "scipy", "highs", "scipy-incremental"],
+        choices=list(BACKEND_NAMES),
         help=(
             "LP solver backend: scipy's one-shot HiGHS vs the native incremental "
             "highspy driver (default auto = highs when installed, else scipy)"
@@ -1098,17 +1094,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="workers for pipeline advancement (threads or processes; default 1)",
-    )
-    parser.add_argument(
-        "--worker-mode",
-        default="auto",
-        choices=list(WORKER_MODES),
-        help=(
-            "how --jobs workers run the query-side pipeline stages: threads "
-            "in-process, or worker processes for the GIL-bound stages "
-            "(default auto = thread)"
-        ),
+        help="threads for pipeline advancement and LP solving (default 1)",
     )
     parser.add_argument(
         "--budget",

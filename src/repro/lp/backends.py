@@ -1,33 +1,30 @@
 """Solver backends: scipy's one-shot HiGHS vs a native incremental ``highspy`` model.
 
 Every LP the library solves ultimately reaches HiGHS, but there are two ways
-to get there:
+to get there.  Both hand the cutting-plane loops of :mod:`repro.lp.rowgen`
+an :class:`IncrementalModel` — keyed rows added (and deleted) between
+rounds — and differ in what a re-solve costs:
 
 * :class:`ScipyBackend` — :func:`scipy.optimize.linprog` with
   ``method="highs"``.  Stateless and always available, but every call builds
-  a fresh HiGHS model: scipy exposes no basis hand-off, so the cutting-plane
-  loops of :mod:`repro.lp.rowgen` re-solve each relaxation from scratch.
-* :class:`HighsBackend` — the ``highspy`` bindings driven directly.  One
-  :class:`IncrementalModel` stays alive across cutting-plane rounds:
-  violated cuts enter through ``addRows``, slack rows leave through
-  ``deleteRows``, and HiGHS warm-starts every re-solve from the incumbent
-  basis.  ``highspy`` is an *optional* dependency — the backend is gated on
-  import and :func:`resolve_backend` falls back to scipy when it is absent,
-  so nothing in the library ever requires it.
+  a fresh HiGHS model: scipy exposes no basis hand-off, so each relaxation
+  is re-solved from scratch and deleting slack rows would only churn it.
+* :class:`HighsBackend` — the ``highspy`` bindings driven directly.  The
+  model stays alive across cutting-plane rounds: violated cuts enter through
+  ``addRows``, slack rows leave through ``deleteRows``, and HiGHS
+  warm-starts every re-solve from the incumbent basis.  ``highspy`` is an
+  *optional* dependency — the backend is gated on import and
+  :func:`resolve_backend` falls back to scipy when it is absent, so nothing
+  in the library ever requires it.
 
 The ``backend`` knob accepted by every LP entry point takes
 
 * ``"auto"`` (the default everywhere) — :class:`HighsBackend` when
   ``highspy`` imports, :class:`ScipyBackend` otherwise, so a plain
   ``pip install highspy`` upgrades the whole library while CI and
-  scipy-only installs keep the historical behaviour bit-for-bit;
+  scipy-only installs keep working on the always-installed solver;
 * ``"scipy"`` / ``"highs"`` — force one backend (``"highs"`` raises
-  :class:`~repro.exceptions.LPError` when ``highspy`` is missing);
-* ``"scipy-incremental"`` — scipy solves driven through the *incremental*
-  cutting-plane loop (keyed row bookkeeping, slack-row deletion,
-  anti-cycling guard) without any warm start.  Its purpose is testing and
-  diagnostics: it exercises exactly the loop the HiGHS backend runs, on the
-  solver that is always installed.
+  :class:`~repro.exceptions.LPError` when ``highspy`` is missing).
 
 Row identity bookkeeping
 ------------------------
@@ -57,7 +54,7 @@ from repro.exceptions import LPError
 from repro.lp.solver import LPResult, LPStatus
 
 #: Names accepted by every ``backend`` knob.
-BACKEND_NAMES = ("auto", "scipy", "highs", "scipy-incremental")
+BACKEND_NAMES = ("auto", "scipy", "highs")
 
 
 def highs_available() -> bool:
@@ -104,8 +101,6 @@ def _backend_instance(name: str) -> "LPBackend":
     if instance is None:
         if name == "scipy":
             instance = ScipyBackend()
-        elif name == "scipy-incremental":
-            instance = ScipyBackend(incremental=True)
         elif name == "highs":
             instance = HighsBackend()
         else:  # pragma: no cover - guarded by validate_backend_name
@@ -137,10 +132,8 @@ class LPBackend:
 
     #: Knob name this backend answers to.
     name = "backend"
-    #: Whether the cutting-plane loops should drive an :class:`IncrementalModel`
-    #: (one growing model per loop) instead of rebuilding a stacked LP per round.
-    incremental = False
-    #: Whether re-solves of an incremental model start from the incumbent basis.
+    #: Whether re-solves of an incremental model start from the incumbent
+    #: basis; the cutting-plane loops delete slack rows only when they do.
     warm_started = False
 
     def solve(
@@ -176,18 +169,14 @@ class LPBackend:
 class ScipyBackend(LPBackend):
     """:func:`scipy.optimize.linprog` with ``method="highs"`` (the historical path).
 
-    ``incremental=True`` keeps the same per-solve behaviour (a fresh HiGHS
-    model each call, no warm start) but routes the cutting-plane loops
-    through the incremental-model bookkeeping — the testing backend that
-    exercises row add/drop identity mapping and the anti-cycling guard
-    without the optional dependency.
+    Its :class:`IncrementalModel` keeps the keyed-row bookkeeping in Python
+    and re-solves the whole model through ``linprog`` on every call — no
+    warm start, so the cutting-plane loops keep slack rows instead of
+    deleting them.
     """
 
+    name = "scipy"
     warm_started = False
-
-    def __init__(self, incremental: bool = False):
-        self.incremental = incremental
-        self.name = "scipy-incremental" if incremental else "scipy"
 
     def solve(
         self,
@@ -244,7 +233,6 @@ class HighsBackend(LPBackend):
     """
 
     name = "highs"
-    incremental = True
     warm_started = True
 
     def __init__(self):
@@ -409,14 +397,17 @@ class _ScipyIncrementalModel(IncrementalModel):
         return self._A_keyed, self._b_keyed
 
     def solve(self, warm: bool = True) -> LPResult:
+        # Keyed (cone) rows above the caller's fixed rows, the order the
+        # dense path stacks: row order can change which optimal vertex HiGHS
+        # returns, and the relaxed points steer the separation rounds.
         parts_A = []
         parts_b = []
-        if self._A_fixed is not None:
-            parts_A.append(self._A_fixed)
-            parts_b.append(self._b_fixed)
         if self._A_keyed is not None and self._A_keyed.shape[0]:
             parts_A.append(self._A_keyed)
             parts_b.append(self._b_keyed)
+        if self._A_fixed is not None:
+            parts_A.append(self._A_fixed)
+            parts_b.append(self._b_fixed)
         A_ub = sp.vstack(parts_A, format="csr") if parts_A else None
         b_ub = np.concatenate(parts_b) if parts_b else None
         self.solve_count += 1

@@ -19,7 +19,11 @@ This module makes the elemental rows *implicit*:
   the ``C(n,2)`` rank-1, empty-context submodularity rows ``I(i;j) ≥ 0``),
   solves the relaxation, asks the oracle for the most-violated rows at the
   relaxed optimum, and iterates until no elemental inequality is violated
-  beyond tolerance.
+  beyond tolerance.  Every loop drives one
+  :class:`~repro.lp.backends.IncrementalModel` on whichever backend it is
+  given: cuts enter as row additions, and on a warm-started backend strictly
+  slack rows leave again under the
+  :class:`~repro.lp.backends.AntiCyclingLedger` guard.
 
 Soundness of the loop shapes used by the library:
 
@@ -35,7 +39,8 @@ Soundness of the loop shapes used by the library:
 
 Termination is guaranteed because the elemental row set is finite and every
 round either finishes or adds at least one *new* row (cuts are violated by
-the current relaxed point, which satisfies all active rows).
+the current relaxed point, which satisfies all active rows); a deleted row
+that re-violates re-enters permanently, so each row leaves at most once.
 
 Row ids follow the canonical elemental enumeration shared with
 :meth:`SubsetLattice.elemental_structure` and
@@ -68,11 +73,7 @@ from repro.lp.solver import (
     FeasibilityBlock,
     LPResult,
     LPStatus,
-    _block_with_hard_rows,
-    _prepend_homogeneous_rows,
-    minimize,
     record_solver_path,
-    solve_feasibility_blocks,
 )
 from repro.utils.lattice import SubsetLattice, lattice_context
 
@@ -199,14 +200,12 @@ class RowGenOptions:
         submodularity row — the Eq. (8) inequalities of Theorem 3.1 are
         built from exactly these simple rows, so seeding them up front cuts
         separation rounds on containment traffic).
-    drop_slack_rows:
-        Whether incremental-model loops delete rows that are strictly slack
-        at the relaxed optimum between rounds (ignored by the per-round
-        stacked loops, which rebuild from the active set anyway).  ``None``
-        defers to the backend (drop on every incremental backend).
     drop_tolerance:
-        A row counts as slack (deletable) when its value at the relaxed
-        optimum exceeds this.
+        On a warm-started backend the loops delete rows that are strictly
+        slack at the relaxed optimum between rounds; a row counts as slack
+        (deletable) when its value there exceeds this.  Backends that
+        re-solve from scratch keep every row, since deleting would only
+        churn the model.
     drop_min_rows:
         Don't bother deleting until the active set reaches this size — tiny
         models re-solve instantly and the deletions would only churn keys.
@@ -217,7 +216,6 @@ class RowGenOptions:
     max_rounds: int = 10_000
     early_stop_objective: Optional[float] = None
     seed: str = "generic"
-    drop_slack_rows: Optional[bool] = None
     drop_tolerance: float = 1e-6
     drop_min_rows: int = 512
 
@@ -234,7 +232,7 @@ class RowGenReport:
     proven bound but the solution is a relaxation point, not a cone point.
     ``backend`` names the solver backend that ran the loop;
     ``rows_dropped``/``re_entries`` count slack-row deletions and
-    anti-cycling re-admissions (non-zero only on incremental backends).
+    anti-cycling re-admissions (non-zero only on warm-started backends).
     """
 
     rounds: int
@@ -489,55 +487,7 @@ def shannon_row_oracle(ground: Tuple[str, ...]) -> ShannonRowOracle:
     return ShannonRowOracle(lattice_context(tuple(ground)))
 
 
-class _ActiveRows:
-    """The growing active row set of one cutting-plane loop."""
-
-    __slots__ = ("oracle", "_ids", "_known", "cuts_added")
-
-    def __init__(self, oracle: ShannonRowOracle, seed_ids: Optional[Sequence[int]] = None):
-        self.oracle = oracle
-        ids = oracle.seed_ids() if seed_ids is None else np.asarray(seed_ids, dtype=np.int64)
-        self._ids: List[int] = [int(i) for i in ids]
-        self._known = set(self._ids)
-        self.cuts_added = 0
-
-    def add(self, row_ids: np.ndarray) -> int:
-        """Append the genuinely new rows; return how many were new."""
-        added = 0
-        for row_id in row_ids:
-            row_id = int(row_id)
-            if row_id not in self._known:
-                self._known.add(row_id)
-                self._ids.append(row_id)
-                added += 1
-        self.cuts_added += added
-        return added
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def ids(self) -> List[int]:
-        return self._ids
-
-    def matrix(self) -> sp.csr_matrix:
-        return self.oracle.rows_matrix(self._ids)
-
-
-def _with_active_rows(active: _ActiveRows, A_ub, b_ub):
-    """Stack ``-A_active x ≤ 0`` above the caller's inequality rows."""
-    cone_rows = -active.matrix()
-    return _prepend_homogeneous_rows(cone_rows, A_ub, b_ub, cone_rows.shape[1])
-
-
-def _should_drop(options: RowGenOptions, backend) -> bool:
-    """Resolve the slack-row deletion knob against the backend default."""
-    if options.drop_slack_rows is not None:
-        return options.drop_slack_rows
-    return bool(backend.incremental)
-
-
-def _drop_slack_rows(model, ledger, oracle, solution, options, key=None) -> None:
+def _delete_slack_rows(model, ledger, oracle, solution, options, key=None) -> None:
     """Delete the active cone rows that are strictly slack at ``solution``.
 
     Permanent rows (the seed, plus every row the anti-cycling guard pinned)
@@ -553,81 +503,6 @@ def _drop_slack_rows(model, ledger, oracle, solution, options, key=None) -> None
     slack_ids = active[values > options.drop_tolerance]
     removed = ledger.retire(slack_ids)
     model.delete_rows([key(i) for i in removed] if key else removed)
-
-
-def _minimize_lazy_incremental(
-    objective,
-    oracle: ShannonRowOracle,
-    A_ub,
-    b_ub,
-    bounds,
-    options: RowGenOptions,
-    backend,
-) -> LPResult:
-    """Cutting-plane minimization over one persistent incremental model."""
-    objective = np.asarray(objective, dtype=float)
-    model = backend.incremental_model(
-        objective.shape[0], objective, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
-    )
-    seed = oracle.seed_ids_for(options.seed)
-    ledger = AntiCyclingLedger(seed)
-    model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
-    drop = _should_drop(options, backend)
-    for round_number in range(1, options.max_rounds + 1):
-        round_started = time.perf_counter()
-        result = model.solve()
-        _ROWGEN_ROUNDS.inc(backend=backend.name)
-        if result.status == LPStatus.UNBOUNDED:
-            raise LPError(
-                "row-generation relaxation is unbounded; pass bounds that are "
-                "valid over the full cone (e.g. 0 <= x <= 1 on the h(V) <= 1 slice)"
-            )
-        report = _ledger_report(round_number, ledger, oracle, backend)
-        if result.status == LPStatus.INFEASIBLE:
-            # The relaxation's feasible set contains the true one.
-            return LPResult(
-                status=result.status, objective=None, solution=None, rowgen=report
-            )
-        if (
-            options.early_stop_objective is not None
-            and result.objective >= options.early_stop_objective
-        ):
-            return LPResult(
-                status=result.status,
-                objective=result.objective,
-                solution=result.solution,
-                rowgen=_ledger_report(
-                    round_number, ledger, oracle, backend, early_stopped=True
-                ),
-            )
-        cut_ids, _ = _separate_timed(
-            oracle,
-            result.solution,
-            options,
-            backend,
-            "minimize-incremental",
-            round_number,
-            round_started,
-        )
-        if cut_ids.size == 0:
-            return LPResult(
-                status=result.status,
-                objective=result.objective,
-                solution=result.solution,
-                rowgen=report,
-            )
-        if drop:
-            _drop_slack_rows(model, ledger, oracle, result.solution, options)
-        entered = ledger.admit(cut_ids)
-        if not entered:
-            return LPResult(
-                status=result.status,
-                objective=result.objective,
-                solution=result.solution,
-                rowgen=report,
-            )
-        model.add_rows(entered, -oracle.rows_matrix(entered))
-    raise LPError("row generation did not converge within max_rounds")
 
 
 def _ledger_report(
@@ -667,44 +542,35 @@ def minimize_lazy(
     problem).  The returned :class:`LPResult` carries a
     :class:`RowGenReport` in ``result.rowgen``.
 
-    ``backend`` selects the solver backend: on an *incremental* backend
-    (``highspy``, or ``scipy-incremental`` for testing) one model persists
-    across rounds — cuts enter through row additions, slack rows are
-    deleted under the anti-cycling guard, and warm starts carry the basis
-    between rounds; otherwise each round rebuilds a stacked LP exactly as
-    before.
+    One :class:`~repro.lp.backends.IncrementalModel` of ``backend`` persists
+    across rounds and cuts enter it as row additions.  On a warm-started
+    backend (``highspy``) every re-solve starts from the incumbent basis and
+    strictly slack rows are deleted under the anti-cycling guard; scipy
+    re-solves the model from scratch each round and keeps every row.
     """
     options = options if options is not None else RowGenOptions()
     backend = resolve_backend(backend)
-    if backend.incremental:
-        return _minimize_lazy_incremental(
-            objective, oracle, A_ub, b_ub, bounds, options, backend
-        )
-    active = _ActiveRows(oracle, seed_ids=oracle.seed_ids_for(options.seed))
+    objective = np.asarray(objective, dtype=float)
+    model = backend.incremental_model(
+        objective.shape[0], objective, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
+    )
+    seed = oracle.seed_ids_for(options.seed)
+    ledger = AntiCyclingLedger(seed)
+    model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
     for round_number in range(1, options.max_rounds + 1):
         round_started = time.perf_counter()
-        A, b = _with_active_rows(active, A_ub, b_ub)
-        result = minimize(objective, A_ub=A, b_ub=b, bounds=bounds, backend=backend)
+        result = model.solve()
         _ROWGEN_ROUNDS.inc(backend=backend.name)
         if result.status == LPStatus.UNBOUNDED:
             raise LPError(
                 "row-generation relaxation is unbounded; pass bounds that are "
                 "valid over the full cone (e.g. 0 <= x <= 1 on the h(V) <= 1 slice)"
             )
-        report = RowGenReport(
-            rounds=round_number,
-            rows_used=len(active),
-            total_rows=oracle.row_count,
-            cuts_added=active.cuts_added,
-            backend=backend.name,
-        )
+        report = _ledger_report(round_number, ledger, oracle, backend)
         if result.status == LPStatus.INFEASIBLE:
             # The relaxation's feasible set contains the true one.
             return LPResult(
-                status=result.status,
-                objective=None,
-                solution=None,
-                rowgen=report,
+                status=result.status, objective=None, solution=None, rowgen=report
             )
         if (
             options.early_stop_objective is not None
@@ -714,13 +580,8 @@ def minimize_lazy(
                 status=result.status,
                 objective=result.objective,
                 solution=result.solution,
-                rowgen=RowGenReport(
-                    rounds=report.rounds,
-                    rows_used=report.rows_used,
-                    total_rows=report.total_rows,
-                    cuts_added=report.cuts_added,
-                    early_stopped=True,
-                    backend=backend.name,
+                rowgen=_ledger_report(
+                    round_number, ledger, oracle, backend, early_stopped=True
                 ),
             )
         cut_ids, _ = _separate_timed(
@@ -728,17 +589,28 @@ def minimize_lazy(
             result.solution,
             options,
             backend,
-            "minimize-stacked",
+            "minimize",
             round_number,
             round_started,
         )
-        if cut_ids.size == 0 or active.add(cut_ids) == 0:
+        if cut_ids.size == 0:
             return LPResult(
                 status=result.status,
                 objective=result.objective,
                 solution=result.solution,
                 rowgen=report,
             )
+        if backend.warm_started:
+            _delete_slack_rows(model, ledger, oracle, result.solution, options)
+        entered = ledger.admit(cut_ids)
+        if not entered:
+            return LPResult(
+                status=result.status,
+                objective=result.objective,
+                solution=result.solution,
+                rowgen=report,
+            )
+        model.add_rows(entered, -oracle.rows_matrix(entered))
     raise LPError("row generation did not converge within max_rounds")
 
 
@@ -769,20 +641,26 @@ def check_feasibility_lazy(
     raise LPError("feasibility problem reported an unbounded objective")
 
 
-def _minimize_many_lazy_incremental(
-    objectives,
+def minimize_many_lazy(
+    objectives: Sequence[Sequence[float]],
     oracle: ShannonRowOracle,
-    A_ub,
-    b_ub,
-    bounds,
-    options: RowGenOptions,
-    backend,
+    A_ub=None,
+    b_ub=None,
+    bounds=None,
+    options: Optional[RowGenOptions] = None,
+    backend=None,
 ) -> List[LPResult]:
-    """Shared-model variant: one incremental model, objectives swapped in place.
+    """Minimize several objectives over one shared implicit polyhedron.
 
-    Both the active row set *and* the solver basis persist across
-    objectives, so related solves warm-start each other twice over.
+    One model serves every objective: only the objective changes between
+    solves, so the active row set — and, on a warm-started backend, the
+    solver basis — carries over.  Cuts found for one objective warm-start
+    the next.
     """
+    options = options if options is not None else RowGenOptions()
+    backend = resolve_backend(backend)
+    if not objectives:
+        return []
     first = np.asarray(objectives[0], dtype=float)
     model = backend.incremental_model(
         first.shape[0], first, bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
@@ -790,7 +668,6 @@ def _minimize_many_lazy_incremental(
     seed = oracle.seed_ids_for(options.seed)
     ledger = AntiCyclingLedger(seed)
     model.add_rows([int(i) for i in seed], -oracle.rows_matrix(seed))
-    drop = _should_drop(options, backend)
     results: List[LPResult] = []
     for k, objective in enumerate(objectives):
         if k:
@@ -815,7 +692,7 @@ def _minimize_many_lazy_incremental(
                 result.solution,
                 options,
                 backend,
-                "minimize-many-incremental",
+                "minimize-many",
                 round_number,
                 round_started,
             )
@@ -829,8 +706,8 @@ def _minimize_many_lazy_incremental(
                     )
                 )
                 break
-            if drop:
-                _drop_slack_rows(model, ledger, oracle, result.solution, options)
+            if backend.warm_started:
+                _delete_slack_rows(model, ledger, oracle, result.solution, options)
             entered = ledger.admit(cut_ids)
             if not entered:
                 results.append(
@@ -848,79 +725,6 @@ def _minimize_many_lazy_incremental(
     return results
 
 
-def minimize_many_lazy(
-    objectives: Sequence[Sequence[float]],
-    oracle: ShannonRowOracle,
-    A_ub=None,
-    b_ub=None,
-    bounds=None,
-    options: Optional[RowGenOptions] = None,
-    backend=None,
-) -> List[LPResult]:
-    """Minimize several objectives over one shared implicit polyhedron.
-
-    The active row set persists across objectives — cuts found for one
-    objective warm-start the next, which is the structural analogue of basis
-    reuse across the related solves.  On an incremental backend the model
-    itself persists too and only the objective changes between solves.
-    """
-    options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
-    if not objectives:
-        return []
-    if backend.incremental:
-        return _minimize_many_lazy_incremental(
-            objectives, oracle, A_ub, b_ub, bounds, options, backend
-        )
-    active = _ActiveRows(oracle, seed_ids=oracle.seed_ids_for(options.seed))
-    results: List[LPResult] = []
-    for objective in objectives:
-        for round_number in range(1, options.max_rounds + 1):
-            round_started = time.perf_counter()
-            A, b = _with_active_rows(active, A_ub, b_ub)
-            result = minimize(objective, A_ub=A, b_ub=b, bounds=bounds, backend=backend)
-            _ROWGEN_ROUNDS.inc(backend=backend.name)
-            if result.status == LPStatus.UNBOUNDED:
-                raise LPError(
-                    "row-generation relaxation is unbounded; pass bounds valid "
-                    "over the full cone"
-                )
-            report = RowGenReport(
-                rounds=round_number,
-                rows_used=len(active),
-                total_rows=oracle.row_count,
-                cuts_added=active.cuts_added,
-                backend=backend.name,
-            )
-            if result.status == LPStatus.INFEASIBLE:
-                results.append(
-                    LPResult(status=result.status, objective=None, solution=None, rowgen=report)
-                )
-                break
-            cut_ids, _ = _separate_timed(
-                oracle,
-                result.solution,
-                options,
-                backend,
-                "minimize-many-stacked",
-                round_number,
-                round_started,
-            )
-            if cut_ids.size == 0 or active.add(cut_ids) == 0:
-                results.append(
-                    LPResult(
-                        status=result.status,
-                        objective=result.objective,
-                        solution=result.solution,
-                        rowgen=report,
-                    )
-                )
-                break
-        else:
-            raise LPError("row generation did not converge within max_rounds")
-    return results
-
-
 def _shift_columns(matrix: sp.csr_matrix, offset: int, total: int) -> sp.csr_matrix:
     """Embed a block-local matrix into the stacked LP's full column space."""
     coo = matrix.tocoo()
@@ -929,25 +733,32 @@ def _shift_columns(matrix: sp.csr_matrix, offset: int, total: int) -> sp.csr_mat
     )
 
 
-def _solve_feasibility_blocks_incremental(
+def solve_feasibility_blocks_lazy(
     blocks: Sequence[FeasibilityBlock],
     oracle: ShannonRowOracle,
-    slack_threshold: float,
-    options: RowGenOptions,
-    backend,
+    slack_threshold: float = 0.5,
+    options: Optional[RowGenOptions] = None,
+    backend=None,
 ) -> List[BlockFeasibilityResult]:
-    """One persistent stacked model for the whole batch of blocks.
+    """Block-diagonal feasibility with per-block implicit elemental rows.
 
     The block-diagonal slack LP of
-    :func:`repro.lp.solver.solve_feasibility_blocks` is assembled once; each
-    block's elemental rows then grow (and shrink, under the anti-cycling
-    guard) *in place*, keyed by ``(block index, row id)``, and every re-solve
-    warm-starts from the incumbent basis.  A block leaves the separation
-    loop the round its relaxation becomes infeasible (slack at margin) or
-    its relaxed point enters ``Γn``; its verdict and solution are frozen at
-    that round — later cuts only touch other blocks' rows, which share no
-    columns, so the frozen point stays feasible for its block.
+    :func:`repro.lp.solver.solve_feasibility_blocks` is assembled once as one
+    model of ``backend``.  Each block's hard rows are its own ``A_hard`` (if
+    any) *plus* its active elemental rows, keyed by ``(block index, row
+    id)``: they start at the seed and grow by separation on that block's
+    relaxed solution (and, on a warm-started backend, shrink under the
+    anti-cycling guard), so a batch converges in a handful of shared solves.
+    A block leaves the separation loop the round its relaxation becomes
+    infeasible (slack at margin) or its relaxed point enters ``Γn``; its
+    verdict and solution are frozen at that round and its elemental rows
+    leave the model, so later rounds do not re-solve it.  The blocks share
+    no columns, so this changes nothing for the others.
     """
+    if not blocks:
+        return []
+    options = options if options is not None else RowGenOptions()
+    backend = resolve_backend(backend)
     column_offsets: List[int] = []
     offset = 0
     for block in blocks:
@@ -993,7 +804,6 @@ def _solve_feasibility_blocks_incremental(
             [(i, int(row_id)) for row_id in seed],
             _shift_columns(seed_matrix, column_offsets[i], total_columns),
         )
-    drop = _should_drop(options, backend)
 
     final: List[Optional[BlockFeasibilityResult]] = [None] * len(blocks)
     unresolved = list(range(len(blocks)))
@@ -1031,8 +841,8 @@ def _solve_feasibility_blocks_incremental(
                     feasible=True, solution=solution, slack=slack, rows_used=ledger.peak_rows
                 )
                 continue
-            if drop:
-                _drop_slack_rows(
+            if backend.warm_started:
+                _delete_slack_rows(
                     model, ledger, oracle, solution, options,
                     key=lambda row_id, i=i: (i, row_id),
                 )
@@ -1050,96 +860,11 @@ def _solve_feasibility_blocks_incremental(
             )
             round_cuts += len(entered)
             still_unresolved.append(i)
-        unresolved = still_unresolved
-        if round_cuts:
-            _ROWGEN_CUTS.inc(round_cuts, backend=backend.name)
-        now = time.perf_counter()
-        record_span(
-            "rowgen-round",
-            round_started,
-            now - round_started,
-            loop="blocks-incremental",
-            round=round_number,
-            solve_seconds=solve_done - round_started,
-            oracle_seconds=now - solve_done,
-            blocks=round_blocks,
-            cuts=round_cuts,
-        )
-    if unresolved:
-        raise LPError("block row generation did not converge within max_rounds")
-    return [result for result in final if result is not None]
-
-
-def solve_feasibility_blocks_lazy(
-    blocks: Sequence[FeasibilityBlock],
-    oracle: ShannonRowOracle,
-    slack_threshold: float = 0.5,
-    options: Optional[RowGenOptions] = None,
-    backend=None,
-) -> List[BlockFeasibilityResult]:
-    """Block-diagonal feasibility with per-block implicit elemental rows.
-
-    Each block's hard rows are its own ``A_hard`` (if any) *plus* the block's
-    active elemental rows, which start at the seed and grow by separation on
-    that block's relaxed solution.  Blocks whose relaxation is infeasible, or
-    whose relaxed point already lies in ``Γn``, drop out of the round loop;
-    only blocks that received cuts are re-solved, so a batch converges in a
-    handful of shared HiGHS invocations.  On an incremental backend the
-    stacked model persists across rounds and only the changed rows move.
-    """
-    if not blocks:
-        return []
-    options = options if options is not None else RowGenOptions()
-    backend = resolve_backend(backend)
-    if backend.incremental:
-        return _solve_feasibility_blocks_incremental(
-            blocks, oracle, slack_threshold, options, backend
-        )
-    active = [
-        _ActiveRows(oracle, seed_ids=oracle.seed_ids_for(options.seed))
-        for _ in blocks
-    ]
-    final: List[Optional[BlockFeasibilityResult]] = [None] * len(blocks)
-    unresolved = list(range(len(blocks)))
-    for round_number in range(1, options.max_rounds + 1):
-        if not unresolved:
-            break
-        round_started = time.perf_counter()
-        round_blocks = len(unresolved)
-        sub_blocks = [
-            _block_with_hard_rows(blocks[i], -active[i].matrix()) for i in unresolved
-        ]
-        round_results = solve_feasibility_blocks(
-            sub_blocks, slack_threshold, backend=backend
-        )
-        _ROWGEN_ROUNDS.inc(backend=backend.name)
-        solve_done = time.perf_counter()
-        round_cuts = 0
-        still_unresolved: List[int] = []
-        for i, result in zip(unresolved, round_results):
-            if not result.feasible or result.solution is None:
-                final[i] = BlockFeasibilityResult(
-                    feasible=False,
-                    solution=None,
-                    slack=result.slack,
-                    rows_used=len(active[i]),
-                )
-                continue
-            dense = oracle.dense_from_canonical(result.solution)
-            cut_ids, _ = oracle.separate(
-                dense, options.tolerance, options.max_cuts_per_round
+        decided = [i for i in unresolved if i not in still_unresolved]
+        if decided and still_unresolved:
+            model.delete_rows(
+                [(i, row_id) for i in decided for row_id in ledgers[i].active]
             )
-            added = active[i].add(cut_ids) if cut_ids.size else 0
-            if added == 0:
-                final[i] = BlockFeasibilityResult(
-                    feasible=True,
-                    solution=result.solution,
-                    slack=result.slack,
-                    rows_used=len(active[i]),
-                )
-            else:
-                round_cuts += added
-                still_unresolved.append(i)
         unresolved = still_unresolved
         if round_cuts:
             _ROWGEN_CUTS.inc(round_cuts, backend=backend.name)
@@ -1148,7 +873,7 @@ def solve_feasibility_blocks_lazy(
             "rowgen-round",
             round_started,
             now - round_started,
-            loop="blocks-stacked",
+            loop="blocks",
             round=round_number,
             solve_seconds=solve_done - round_started,
             oracle_seconds=now - solve_done,

@@ -191,8 +191,8 @@ def _prepend_homogeneous_rows(cone_rows, A, b, width: int):
     """Stack homogeneous rows ``cone_rows·x ≤ 0`` above explicit ``A x ≤ b``.
 
     The single place the "cone description first, caller rows after" layout
-    is built — shared by the dense lazy-row expansion here and the
-    cutting-plane loops of :mod:`repro.lp.rowgen`.
+    is built for the dense lazy-row expansion; the scipy incremental model
+    of :mod:`repro.lp.backends` stacks its rows in the same order.
     """
     cone_rhs = np.zeros(cone_rows.shape[0])
     extra = _as_array(A, width)
@@ -294,11 +294,11 @@ def minimize_many(
 ) -> List[LPResult]:
     """Minimize several objectives over one shared polyhedron.
 
-    The constraint data is normalized once and reused for every objective.
-    On the scipy backend the solves themselves are sequential and cold
-    (``linprog`` does not expose HiGHS basis hand-off between calls); the
-    ``highs`` backend keeps one incremental model alive and only swaps the
-    objective, so each solve warm-starts from the previous basis.  Callers
+    The constraint data is normalized once into one incremental model of the
+    backend, and only the objective changes between solves.  The ``highs``
+    backend warm-starts each solve from the previous basis; scipy re-solves
+    from scratch (``linprog`` does not expose HiGHS basis hand-off between
+    calls).  Equality constraints fall back to one-shot solves.  Callers
     that only need feasibility verdicts for *independent* systems should
     prefer :func:`solve_feasibility_blocks`, which shares a single
     invocation (and is what the batch containment engine uses).
@@ -340,9 +340,8 @@ def minimize_many(
         if objective.shape[0] != width:
             raise LPError("all objectives must have the same number of variables")
         normalized.append(objective)
-    if backend.incremental and A_eq is None:
-        # One persistent model; only the objective changes between solves,
-        # so every solve after the first warm-starts from the previous basis.
+    if A_eq is None:
+        # One persistent model; only the objective changes between solves.
         model = backend.incremental_model(
             width, normalized[0], bounds=bounds, A_fixed=A_ub, b_fixed=b_ub
         )

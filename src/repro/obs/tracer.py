@@ -13,22 +13,13 @@ instrumentation sites call the module-level helpers (:func:`span`,
 through when no tracer is active.  ``repro batch --trace FILE`` activates a
 tracer around one batch and exports the spans as JSONL.
 
-Threads and processes
----------------------
+Threads
+-------
 Each thread keeps its own span stack (``threading.local``), so concurrent
 chunk solves and pipeline advancements nest correctly without sharing
 state; a span started on a pool thread may also name an explicit ``parent``
 span id to attach under work that began elsewhere (the engine parents each
 advancement under its pair's span this way).
-
-Worker *processes* cannot see the parent's tracer.  The engine instead sets
-:attr:`~repro.service.engine.PipelineTask.trace` on the tasks it ships; the
-worker runs a private tracer around the replay and returns its finished
-spans — with times relative to the task start — inside the
-:class:`~repro.service.engine.PipelineStep`.  Back in the parent,
-:meth:`Tracer.adopt` grafts them under the pair's span: fresh span ids,
-parent links remapped, and the worker's relative clock shifted onto the
-parent's timeline using the moment the task was submitted.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, IO, Iterable, List, Optional, Union
 
 
 @dataclass
@@ -231,47 +222,6 @@ class Tracer:
             )
         )
         return span_id
-
-    # ------------------------------------------------------------------ #
-    # Cross-process adoption
-    # ------------------------------------------------------------------ #
-    def adopt(
-        self,
-        records: Sequence[SpanRecord],
-        parent: Optional[int],
-        start_offset: float,
-    ) -> None:
-        """Graft spans recorded by a worker-side tracer into this one.
-
-        ``records`` carry worker-relative times (their tracer's epoch is the
-        task start); ``start_offset`` is that task start on *this* tracer's
-        timeline.  Ids are re-allocated, internal parent links remapped, and
-        worker roots attached under ``parent``.
-        """
-        if not records:
-            return
-        mapping: Dict[int, int] = {}
-        for record in records:
-            mapping[record.span_id] = self._allocate()
-        adopted: List[SpanRecord] = []
-        for record in records:
-            remapped_parent = (
-                mapping.get(record.parent_id, parent)
-                if record.parent_id is not None
-                else parent
-            )
-            adopted.append(
-                SpanRecord(
-                    span_id=mapping[record.span_id],
-                    parent_id=remapped_parent,
-                    name=record.name,
-                    start=record.start + start_offset,
-                    duration=record.duration,
-                    attrs=record.attrs,
-                )
-            )
-        with self._lock:
-            self._records.extend(adopted)
 
     # ------------------------------------------------------------------ #
     # Export

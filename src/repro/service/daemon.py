@@ -50,7 +50,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cq.parser import parse_query
@@ -331,7 +331,6 @@ class ContainmentDaemon:
             "queue_waiting": self.gate.waiting(),
             "requests_served": self.requests_served,
             "workers": self.service.options.max_workers,
-            "worker_mode": self.service.options.worker_mode,
             "shed": {
                 "max_queue_depth": self.shed.max_queue_depth,
                 "policy": self.shed.policy,
@@ -388,23 +387,23 @@ class ContainmentDaemon:
         self._queue_wait.observe(time.perf_counter() - submitted)
         degraded = admission == "acquired-over"
         try:
-            service = self.service
+            overrides = {}
             if degraded:
+                # Same service (cache, stats, store), tighter per-pair budget.
                 self.service.stats.count_request_degraded()
-                budget = service.options.pair_budget
-                budget = (
+                budget = self.service.options.pair_budget
+                overrides["pair_budget"] = (
                     self.shed.degrade_pair_budget
                     if budget is None
                     else min(budget, self.shed.degrade_pair_budget)
                 )
-                service = self._degraded_service(budget)
             if deadline is not None:
                 # The deadline covers queue wait too: only the remainder is
                 # left for the engine.
-                remaining = max(0.0, deadline - (time.perf_counter() - submitted))
-                report = service.run(pairs, deadline=remaining)
-            else:
-                report = service.run(pairs)
+                overrides["deadline"] = max(
+                    0.0, deadline - (time.perf_counter() - submitted)
+                )
+            report = self.service.run(pairs, **overrides)
             self.requests_served += 1
         except Exception as error:  # noqa: BLE001 - the daemon must answer
             # on_error="capture" absorbs per-pair ReproErrors, but a daemon
@@ -439,23 +438,6 @@ class ContainmentDaemon:
         return BatchResponse(
             ok=True, verdicts=tuple(verdicts), stats=report.stats, degraded=degraded
         )
-
-    def _degraded_service(self, pair_budget: float) -> ContainmentService:
-        """A view of the persistent service with the degrade budget applied.
-
-        Shares the cache and stats objects, so degraded requests still warm
-        (and profit from) the same plan cache.
-        """
-        degraded = ContainmentService.__new__(ContainmentService)
-        degraded.options = replace(self.service.options, pair_budget=pair_budget)
-        degraded.stats = self.service.stats
-        degraded.cache = self.service.cache
-        # Same durable store tier (or None): degraded verdicts persist too.
-        degraded.store = self.service.store
-        # Borrow the warm worker pool too (process mode): the view must never
-        # spawn a pool of its own, and it never closes the shared one.
-        degraded._process_pool = self.service._shared_process_pool()
-        return degraded
 
 
 # ---------------------------------------------------------------------- #

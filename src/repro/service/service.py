@@ -43,13 +43,8 @@ QueryPair = Tuple[ConjunctiveQuery, ConjunctiveQuery]
 #: for reasons specific to this run, not to the pair).
 _UNCACHEABLE_METHODS = frozenset({"budget-exhausted", "deadline-exceeded", "error"})
 
-#: Sentinel distinguishing "no per-call deadline override" from None.
-_USE_OPTIONS_DEADLINE = object()
-
-
-def _pair_key_task(pair: QueryPair):
-    """Module-level (hence picklable) canonicalization step for pool fan-out."""
-    return pair_key_with_labelings(pair[0], pair[1])
+#: Sentinel distinguishing "no per-call override" from an explicit None.
+_USE_OPTIONS = object()
 
 
 @dataclass(frozen=True)
@@ -62,21 +57,18 @@ class BatchOptions:
     ``max_workers``, ``pair_budget``, ``on_error``, ``lp_method`` and ``lp_backend``
     configure the engine (see :class:`repro.service.engine.BatchEngine`;
     ``lp_method`` picks the ``Γn`` LP path — dense elemental matrix vs.
-    lazy row generation — and ``lp_backend`` the solver backend, scipy's
-    one-shot HiGHS vs. the native incremental ``highspy`` driver with
-    ``"auto"`` preferring the latter when installed).
+    lazy row generation — and ``lp_backend`` the solver backend,
+    ``"auto" | "scipy" | "highs"``: scipy's one-shot HiGHS vs. the native
+    incremental ``highspy`` driver, with ``"auto"`` preferring the latter
+    when installed).
     ``cache_size`` bounds the plan cache (``None`` =
     unbounded) and ``canonicalize`` switches the isomorphism-aware dedup on
     or off (off, only the LP grouping remains).
 
-    ``worker_mode`` (``"thread" | "process" | "auto"``) selects how the
-    GIL-bound query-side pipeline stages are parallelized across
-    ``max_workers`` — threads in-process, or worker processes advancing
-    replayed pipelines while LP solving stays in-process (see
-    :mod:`repro.service.engine`).  ``deadline`` is an optional wall-clock
-    bound in seconds for each :meth:`ContainmentService.run` call: pairs
-    still undecided when it expires are reported as UNKNOWN
-    ``"deadline-exceeded"`` results in the batch report, never raised.
+    ``deadline`` is an optional wall-clock bound in seconds for each
+    :meth:`ContainmentService.run` call: pairs still undecided when it
+    expires are reported as UNKNOWN ``"deadline-exceeded"`` results in the
+    batch report, never raised.
 
     ``store_path`` points the service at a durable
     :class:`~repro.store.VerdictStore` behind the plan cache (``None`` = no
@@ -95,7 +87,6 @@ class BatchOptions:
     canonicalize: bool = True
     lp_method: str = "auto"
     lp_backend: str = "auto"
-    worker_mode: str = "auto"
     deadline: Optional[float] = None
     store_path: Optional[str] = None
 
@@ -172,28 +163,9 @@ class ContainmentService:
                 "Distinct verdicts held by the durable store.",
                 callback=lambda: float(len(store)),
             )
-        # In process mode the worker pool is as much long-lived warm state as
-        # the plan cache: it lives on the service and is lent to each run's
-        # engine, so a persistent service (e.g. the daemon) pays the worker
-        # fork cost once, not per request.
-        self._process_pool = None
-
-    def _shared_process_pool(self):
-        if self.options.worker_mode != "process" or self.options.max_workers <= 1:
-            return None
-        if self._process_pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self.options.max_workers
-            )
-        return self._process_pool
 
     def close(self) -> None:
-        """Release the worker-process pool and the verdict store (idempotent)."""
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=True)
-            self._process_pool = None
+        """Release the verdict store (idempotent)."""
         if self.store is not None:
             self.store.close()
             self.store = None
@@ -220,38 +192,38 @@ class ContainmentService:
         self,
         pairs: Sequence[QueryPair],
         *,
-        deadline: object = _USE_OPTIONS_DEADLINE,
+        deadline: object = _USE_OPTIONS,
+        pair_budget: object = _USE_OPTIONS,
     ) -> BatchReport:
         """Decide a batch of pairs; full provenance and a stats snapshot.
 
-        ``deadline`` overrides :attr:`BatchOptions.deadline` for this call
-        only (the daemon passes each request's remaining wall clock here).
+        ``deadline`` and ``pair_budget`` override :attr:`BatchOptions.deadline`
+        and :attr:`BatchOptions.pair_budget` for this call only (the daemon
+        passes each request's remaining wall clock, and a degraded request's
+        tightened budget, here).
         """
         started = time.perf_counter()
         options = self.options
-        if deadline is _USE_OPTIONS_DEADLINE:
+        if deadline is _USE_OPTIONS:
             deadline = options.deadline
+        if pair_budget is _USE_OPTIONS:
+            pair_budget = options.pair_budget
         engine = BatchEngine(
             chunk_size=options.chunk_size,
             max_workers=options.max_workers,
-            pair_budget=options.pair_budget,
+            pair_budget=pair_budget,
             on_error=options.on_error,
             stats=self.stats,
             lp_method=options.lp_method,
             lp_backend=options.lp_backend,
-            worker_mode=options.worker_mode,
             deadline=deadline,
-            process_pool=self._shared_process_pool(),
         )
         self.stats.pairs_submitted += len(pairs)
         # One root span per service call: canonicalization, the plan-cache
         # pass and the engine's batch span all nest under it, so a traced run
         # is a single tree.
         with obs_tracer.span("request", pairs=len(pairs)):
-            try:
-                return self._run_with_engine(engine, pairs, started)
-            finally:
-                engine.close()  # a no-op for the borrowed shared pool
+            return self._run_with_engine(engine, pairs, started)
 
     def _run_with_engine(
         self, engine: BatchEngine, pairs: Sequence[QueryPair], started: float
@@ -260,12 +232,10 @@ class ContainmentService:
             if not isinstance(q1, ConjunctiveQuery) or not isinstance(q2, ConjunctiveQuery):
                 raise QueryError("pairs must be (ConjunctiveQuery, ConjunctiveQuery) tuples")
 
-        # Canonical-labeling keys (with per-side labelings): pure GIL-bound
-        # query-side work, fanned out over the engine's worker processes in
-        # process mode.
+        # Canonical-labeling keys, with per-side labelings.
         with obs_tracer.span("canonicalize", pairs=len(pairs)):
             if self.options.canonicalize and pairs:
-                keyed = engine.map_query_side(_pair_key_task, pairs)
+                keyed = [pair_key_with_labelings(q1, q2) for q1, q2 in pairs]
             else:
                 keyed = [(None, None)] * len(pairs)
 

@@ -3,7 +3,7 @@
 The terminal-summary hook reports solver-path coverage along two axes: how
 many ``Γn`` cone decisions ran through the dense elemental matrix vs. lazy
 row generation, and how many were served by each solver backend (scipy's
-one-shot HiGHS, the incremental test loop, native ``highspy``).  The tier-1
+one-shot HiGHS, native ``highspy``, and any test-local backend).  The tier-1
 CI job greps this line to prove that every path that should have run did:
 ``dense``, ``rowgen`` and the ``scipy`` backend always, the ``highs``
 backend only on legs where ``highspy`` is installed.

@@ -1,8 +1,10 @@
-"""Cross-backend equivalence: scipy vs the incremental (highspy-style) path.
+"""Cross-backend equivalence: every LP cell against the dense scipy reference.
 
 The lockdown harness for the solver-backend layer: on hypothesis-generated
 polymatroid expressions and containment instances at ``n ≤ 8``, every
-``backend × lp_method`` combination must return
+``backend × lp_method`` cell must agree with the reference — ``dense`` on
+``scipy``, one LP over the fully materialized ``Γn`` with no cutting-plane
+loop — returning
 
 * identical validity / feasibility / containment verdicts,
 * matching optimal objective values (within tolerance),
@@ -11,11 +13,11 @@ polymatroid expressions and containment instances at ``n ≤ 8``, every
   inequalities without any LP), and
 * genuine cone points for every feasible answer.
 
-``scipy-incremental`` runs the exact incremental cutting-plane loop the
-HiGHS backend uses (keyed rows, slack deletion, anti-cycling guard) on the
-always-installed solver, so the loop is exercised on every CI leg; the
-``highs`` column is skipped cleanly when ``highspy`` is absent and locks
-down the native warm-started backend when it is installed.
+``rowgen`` on ``scipy`` runs the cutting-plane loop every backend shares on
+the always-installed solver, so the loop is compared on every CI leg; the
+``highs`` cells are skipped cleanly when ``highspy`` is absent and lock down
+the native warm-started backend (slack-row deletion included) when it is
+installed.
 """
 
 from __future__ import annotations
@@ -39,14 +41,14 @@ needs_highspy = pytest.mark.skipif(
     not highs_available(), reason="highspy is not installed"
 )
 
-#: Every backend the equivalence matrix covers; "scipy" is the reference.
-BACKENDS = [
-    "scipy",
-    "scipy-incremental",
-    pytest.param("highs", marks=needs_highspy),
+#: Every backend the equivalence matrix covers.
+BACKENDS = ["scipy", pytest.param("highs", marks=needs_highspy)]
+#: Every (backend, lp_method) cell except the dense-on-scipy reference.
+CELLS = [
+    ("scipy", "rowgen"),
+    pytest.param("highs", "dense", marks=needs_highspy),
+    pytest.param("highs", "rowgen", marks=needs_highspy),
 ]
-ALTERNATE_BACKENDS = BACKENDS[1:]
-LP_METHODS = ["dense", "rowgen"]
 
 
 def grounds(min_n=2, max_n=6):
@@ -72,13 +74,13 @@ def random_expressions(draw, min_n=2, max_n=6):
     return LinearExpression(ground=ground, coefficients=coefficients)
 
 
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=30, deadline=None)
 @given(random_expressions())
 def test_minimum_over_gamma_agrees_across_backends(backend, expression):
     prover = shannon_prover(expression.ground)
     reference, _ = prover.minimum_over_gamma(
-        expression, method="rowgen", backend="scipy"
+        expression, method="dense", backend="scipy"
     )
     value, point = prover.minimum_over_gamma(
         expression, method="rowgen", backend=backend
@@ -90,8 +92,7 @@ def test_minimum_over_gamma_agrees_across_backends(backend, expression):
     assert expression.evaluate(point) <= value + TOLERANCE
 
 
-@pytest.mark.parametrize("lp_method", LP_METHODS)
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend,lp_method", CELLS)
 @settings(max_examples=20, deadline=None)
 @given(random_expressions())
 def test_validity_verdicts_agree_across_backend_and_method(
@@ -104,7 +105,7 @@ def test_validity_verdicts_agree_across_backend_and_method(
     )
 
 
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=15, deadline=None)
 @given(random_expressions())
 def test_certificates_verify_independently_across_backends(backend, expression):
@@ -116,8 +117,7 @@ def test_certificates_verify_independently_across_backends(backend, expression):
         assert certificate.verify(expression, tolerance=1e-5)
 
 
-@pytest.mark.parametrize("lp_method", LP_METHODS)
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend,lp_method", CELLS)
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -138,7 +138,7 @@ def test_find_point_below_verdicts_agree(backend, lp_method, seed, n, branches):
         assert all(e.evaluate(function) <= -1.0 + TOLERANCE for e in expressions)
 
 
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=10, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -171,24 +171,26 @@ def test_batched_cone_decisions_agree(backend, seed, n, specs):
     assert [p is None for p in reference] == [p is None for p in points]
 
 
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend,lp_method", CELLS)
 @settings(max_examples=5, deadline=None)
 @given(
     st.integers(min_value=0, max_value=1_000),
     st.sampled_from([1, 32]),
 )
-def test_batch_service_statuses_identical_across_backends(backend, seed, chunk_size):
+def test_batch_service_statuses_identical_across_backends(
+    backend, lp_method, seed, chunk_size
+):
     pairs = mixed_containment_pairs(8, seed=seed)
     reference = decide_containment_many(
-        pairs, chunk_size=chunk_size, lp_backend="scipy"
+        pairs, chunk_size=chunk_size, lp_method="dense", lp_backend="scipy"
     )
     results = decide_containment_many(
-        pairs, chunk_size=chunk_size, lp_backend=backend
+        pairs, chunk_size=chunk_size, lp_method=lp_method, lp_backend=backend
     )
     assert [r.status for r in reference] == [r.status for r in results]
 
 
-@pytest.mark.parametrize("backend", ALTERNATE_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n", [7, 8])
 def test_larger_arity_spot_checks_agree(backend, n):
     """Deterministic n ∈ {7, 8} instances (too slow to run under hypothesis)."""
@@ -213,7 +215,7 @@ def test_larger_arity_spot_checks_agree(backend, n):
         },
     )
     for expression, expected in ((han, True), (bad, False)):
-        reference = prover.is_valid(expression, method="rowgen", backend="scipy")
+        reference = prover.is_valid(expression, method="dense", backend="scipy")
         valid = prover.is_valid(expression, method="rowgen", backend=backend)
         assert reference == valid == expected
     certificate = prover.certificate(han, method="rowgen", backend=backend)

@@ -3,9 +3,10 @@
 Every entry of ``containment_corpus.json`` is a pair with a known verdict
 (paper examples plus deterministic batch-workload seeds).  The replay runs
 each pair through the sequential driver and the batch service across
-``lp_method`` (dense / rowgen) *and* ``lp_backend`` (scipy / the
-incremental loop / native highspy) — any future solver change that flips a
-verdict fails loudly with the pair's name.  The ``highs`` column is skipped
+``lp_method`` (dense / rowgen) *and* ``lp_backend`` (scipy / native
+highspy) — any future solver change that flips a verdict fails loudly with
+the pair's name.  ``dense`` on ``scipy`` is one LP per decision with no
+cutting-plane loop; ``rowgen`` runs the loop every backend shares.  The ``highs`` column is skipped
 cleanly when ``highspy`` is not installed and replays the full corpus
 through the warm-started backend when it is.
 
@@ -32,7 +33,6 @@ CORPUS = json.loads(CORPUS_PATH.read_text())["pairs"]
 
 BACKENDS = [
     "scipy",
-    "scipy-incremental",
     pytest.param(
         "highs",
         marks=pytest.mark.skipif(

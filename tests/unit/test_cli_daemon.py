@@ -12,6 +12,7 @@ import threading
 import pytest
 
 from repro.cli import build_parser, main
+from repro.lp.backends import BACKEND_NAMES
 from repro.service import BatchOptions
 from repro.service.daemon import ShedOptions, serve
 from repro.service.protocol import parse_address
@@ -84,11 +85,32 @@ class TestArgumentParsing:
         assert args.daemon is None
 
     def test_worker_mode_flag(self):
+        # Pipelines run in-process (inline or on --jobs threads); there is no
+        # worker-mode knob on the batch or daemon parsers.
         parser = build_parser()
-        args = parser.parse_args(["batch", "p.txt", "--worker-mode", "process"])
-        assert args.worker_mode == "process"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["batch", "p.txt", "--worker-mode", "greenlet"])
+        assert not hasattr(parser.parse_args(["batch", "p.txt"]), "worker_mode")
+        for argv in (
+            ["batch", "p.txt", "--worker-mode", "thread"],
+            ["daemon", "run", "--worker-mode", "thread"],
+            ["daemon", "start", "--worker-mode", "thread"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
+    def test_lp_backend_choices_are_the_backend_names(self):
+        parser = build_parser()
+        prefixes = (
+            ["contain", "R(x,y)", "R(x,y)"],
+            ["batch", "p.txt"],
+            ["daemon", "run"],
+            ["cache", "verify", "--store", "v.sqlite"],
+        )
+        for prefix in prefixes:
+            for name in BACKEND_NAMES:
+                args = parser.parse_args(prefix + ["--lp-backend", name])
+                assert args.lp_backend == name
+            with pytest.raises(SystemExit):
+                parser.parse_args(prefix + ["--lp-backend", "scipy-incremental"])
 
 
 class TestBatchViaDaemon:

@@ -15,8 +15,10 @@ Three concerns are locked down here, all runnable without the optional
   ``n ≤ 5``, and never needing more cutting-plane rounds than the generic
   seed on containment-shaped instances.
 
-The ``scipy-incremental`` backend exists exactly so this file can exercise
-the incremental loop (the code path ``highspy`` runs) on every install.
+Every backend runs the same incremental cutting-plane loop; only a
+warm-started backend deletes slack rows.  :class:`_WarmScipyBackend` — scipy
+declared warm-started — exercises that deletion and the anti-cycling guard
+on every install, without the optional dependency.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ from repro.utils.lattice import lattice_context
 GROUNDS = {n: tuple(f"X{i}" for i in range(1, n + 1)) for n in range(2, 6)}
 
 
+class _WarmScipyBackend(ScipyBackend):
+    """scipy declared warm-started, so the loops delete slack rows on it."""
+
+    name = "scipy-warm"
+    warm_started = True
+
+
 # --------------------------------------------------------------------- #
 # Resolution and gating
 # --------------------------------------------------------------------- #
@@ -61,7 +70,7 @@ def test_auto_resolves_to_scipy_without_highspy():
         assert backend.name == "highs"
     else:
         assert backend.name == "scipy"
-        assert not backend.incremental
+        assert not backend.warm_started
 
 
 def test_forcing_highs_without_highspy_raises():
@@ -74,16 +83,11 @@ def test_forcing_highs_without_highspy_raises():
 
 
 def test_unknown_backend_name_rejected():
-    with pytest.raises(LPError, match="unknown LP backend"):
-        validate_backend_name("glpk")
-    with pytest.raises(LPError):
-        resolve_backend("glpk")
-
-
-def test_scipy_incremental_is_incremental_but_not_warm():
-    backend = resolve_backend("scipy-incremental")
-    assert backend.incremental
-    assert not backend.warm_started
+    for name in ("glpk", "scipy-incremental"):
+        with pytest.raises(LPError, match="unknown LP backend"):
+            validate_backend_name(name)
+        with pytest.raises(LPError):
+            resolve_backend(name)
 
 
 def test_backend_instances_are_shared():
@@ -117,7 +121,7 @@ def _unit_row(width, column, value=1.0):
 
 
 def _model(width=4):
-    backend = resolve_backend("scipy-incremental")
+    backend = resolve_backend("scipy")
     return backend.incremental_model(width, np.ones(width), bounds=(0, None))
 
 
@@ -208,7 +212,7 @@ def test_ledger_counters():
 
 
 # --------------------------------------------------------------------- #
-# The incremental loop end to end (scipy-incremental backend)
+# The cutting-plane loop end to end on scipy
 # --------------------------------------------------------------------- #
 def _invalid_pair_objective(ground):
     """``h(1) + h(2) - 1.5·h(12)``, whose Γn minimum over the slice is -0.5."""
@@ -226,33 +230,6 @@ def _invalid_pair_objective(ground):
     return prover.expression_vector(expression)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_incremental_loop_matches_legacy_optimum(n):
-    ground = GROUNDS[n]
-    oracle = shannon_row_oracle(ground)
-    objective = _invalid_pair_objective(ground)
-    legacy = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
-    incremental = minimize_lazy(
-        objective, oracle, bounds=(0, 1), backend="scipy-incremental"
-    )
-    assert legacy.status == incremental.status == LPStatus.OPTIMAL
-    assert incremental.objective == pytest.approx(legacy.objective, abs=1e-8)
-    assert incremental.rowgen.backend == "scipy-incremental"
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_incremental_round_counts_never_exceed_cold_start(n):
-    """Same relaxation sequence ⇒ the incremental loop needs no extra rounds."""
-    ground = GROUNDS[n]
-    oracle = shannon_row_oracle(ground)
-    objective = _invalid_pair_objective(ground)
-    legacy = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
-    incremental = minimize_lazy(
-        objective, oracle, bounds=(0, 1), backend="scipy-incremental"
-    )
-    assert incremental.rowgen.rounds <= legacy.rowgen.rounds
-
-
 def test_adversarial_dropping_terminates_and_stays_correct():
     """Drop *every* non-permanent row each round; the guard must converge.
 
@@ -264,7 +241,6 @@ def test_adversarial_dropping_terminates_and_stays_correct():
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
     options = RowGenOptions(
-        drop_slack_rows=True,
         drop_min_rows=0,
         drop_tolerance=-1.0,
         max_cuts_per_round=1,
@@ -274,7 +250,7 @@ def test_adversarial_dropping_terminates_and_stays_correct():
         oracle,
         bounds=(0, 1),
         options=options,
-        backend="scipy-incremental",
+        backend=_WarmScipyBackend(),
     )
     reference = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
     assert result.status == LPStatus.OPTIMAL
@@ -285,19 +261,22 @@ def test_adversarial_dropping_terminates_and_stays_correct():
 
 
 def test_slack_rows_are_dropped_when_enabled():
+    """Only a warm-started backend deletes slack rows; scipy keeps them all."""
     ground = GROUNDS[5]
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
-    options = RowGenOptions(drop_slack_rows=True, drop_min_rows=0)
-    result = minimize_lazy(
-        objective,
-        oracle,
-        bounds=(0, 1),
-        options=options,
-        backend="scipy-incremental",
-    )
-    assert result.status == LPStatus.OPTIMAL
-    assert result.objective == pytest.approx(-0.5, abs=1e-8)
+    options = RowGenOptions(drop_min_rows=0)
+    results = {
+        name: minimize_lazy(
+            objective, oracle, bounds=(0, 1), options=options, backend=backend
+        )
+        for name, backend in (("warm", _WarmScipyBackend()), ("cold", "scipy"))
+    }
+    for result in results.values():
+        assert result.status == LPStatus.OPTIMAL
+        assert result.objective == pytest.approx(-0.5, abs=1e-8)
+    assert results["warm"].rowgen.rows_dropped > 0
+    assert results["cold"].rowgen.rows_dropped == 0
 
 
 # --------------------------------------------------------------------- #
@@ -424,7 +403,7 @@ def fake_highspy(monkeypatch):
 
 def test_highs_backend_runs_the_incremental_loop_on_the_fake(fake_highspy):
     backend = HighsBackend()
-    assert backend.incremental and backend.warm_started
+    assert backend.warm_started
     ground = GROUNDS[4]
     oracle = shannon_row_oracle(ground)
     objective = _invalid_pair_objective(ground)
@@ -532,8 +511,7 @@ EQ8_PAIRS = [
 
 
 @pytest.mark.parametrize("q1_text,q2_text", EQ8_PAIRS)
-@pytest.mark.parametrize("backend", ["scipy", "scipy-incremental"])
-def test_containment_seed_rounds_never_exceed_generic(q1_text, q2_text, backend):
+def test_containment_seed_rounds_never_exceed_generic(q1_text, q2_text):
     """On Eq. (8) systems the workload-aware seed can only save rounds."""
     q1, q2 = to_boolean_pair(parse_query(q1_text), parse_query(q2_text))
     inequality = build_containment_inequality(q1, q2)
@@ -553,7 +531,7 @@ def test_containment_seed_rounds_never_exceed_generic(q1_text, q2_text, backend)
             A_ub=rows,
             b_ub=-np.ones(rows.shape[0]),
             options=RowGenOptions(seed=seed),
-            backend=backend,
+            backend="scipy",
         )
         outcomes[seed] = (feasible, report)
     assert outcomes["generic"][0] == outcomes["containment"][0]

@@ -149,19 +149,10 @@ class TestDaemonMetricsVerb:
             "queue_waiting",
             "requests_served",
             "workers",
-            "worker_mode",
         ):
             assert key in status, f"status is missing {key}"
         assert status["workers"] == daemon.service.options.max_workers
-        assert status["worker_mode"] == daemon.service.options.worker_mode
         assert status["queue_depth"] == 0
-
-    def test_degraded_view_shares_the_worker_pool_slot(self):
-        daemon = ContainmentDaemon()
-        view = daemon._degraded_service(0.5)
-        assert view.stats is daemon.service.stats
-        assert view.cache is daemon.service.cache
-        assert hasattr(view, "_process_pool")  # __new__ path must stay runnable
 
 
 class TestSoakHarness:

@@ -1,11 +1,8 @@
 """Tests for span tracing: tracer mechanics, tree well-formedness, summaries.
 
-The well-formedness class is the one the telemetry PR hangs its hat on: a
-traced batch — in *both* worker modes — must produce a single span tree with
-no orphans, no duplicate ids, and every child's interval inside its
-parent's.  Process mode additionally exercises the cross-process adoption
-path (worker-side spans shipped back inside ``PipelineStep`` and grafted
-under the pair span).
+The well-formedness class is the one the telemetry hangs its hat on: a
+traced threaded batch must produce a single span tree with no orphans, no
+duplicate ids, and every child's interval inside its parent's.
 """
 
 import io
@@ -84,23 +81,6 @@ class TestTracerMechanics:
         assert record.duration == 0.25
         assert record.attrs == {"cuts": 3}
 
-    def test_adopt_remaps_ids_parents_and_timeline(self):
-        tracer = Tracer()
-        parent = tracer.start("pair")
-        worker_spans = [
-            SpanRecord(span_id=1, parent_id=None, name="advance", start=0.0, duration=0.5),
-            SpanRecord(span_id=2, parent_id=1, name="stage", start=0.1, duration=0.2),
-        ]
-        tracer.adopt(worker_spans, parent=parent.id, start_offset=10.0)
-        parent.finish()
-        by_name = {record.name: record for record in tracer.records()}
-        assert by_name["advance"].parent_id == parent.id
-        assert by_name["stage"].parent_id == by_name["advance"].span_id
-        assert by_name["advance"].start == pytest.approx(10.0)
-        assert by_name["stage"].start == pytest.approx(10.1)
-        ids = {record.span_id for record in tracer.records()}
-        assert len(ids) == 3  # all re-allocated, no clashes with the parent
-
     def test_export_jsonl_round_trips(self):
         tracer = Tracer()
         with tracer.span("outer", tag="x"):
@@ -140,9 +120,8 @@ class TestTracerMechanics:
         assert names == ["floating", "outer", "retro"]
 
 
-@pytest.mark.parametrize("worker_mode", ["thread", "process"])
 class TestBatchSpanTree:
-    def run_traced_batch(self, worker_mode):
+    def run_traced_batch(self):
         pairs = [
             (
                 parse_query("R(x,y), R(y,z), R(z,x)", name="tri"),
@@ -158,7 +137,7 @@ class TestBatchSpanTree:
             ),
         ]
         service = ContainmentService(
-            BatchOptions(worker_mode=worker_mode, max_workers=2, on_error="capture")
+            BatchOptions(max_workers=2, on_error="capture")
         )
         with tracing() as tracer:
             report = service.run(pairs)
@@ -166,17 +145,16 @@ class TestBatchSpanTree:
         assert all(result.status.value != "unknown" for result in report.results)
         return tracer.records()
 
-    def test_tree_is_well_formed(self, worker_mode):
-        records = self.run_traced_batch(worker_mode)
+    def test_tree_is_well_formed(self):
+        records = self.run_traced_batch()
         well_formed(records)
 
-    def test_single_request_root_and_expected_phases(self, worker_mode):
-        records = self.run_traced_batch(worker_mode)
+    def test_single_request_root_and_expected_phases(self):
+        records = self.run_traced_batch()
         roots = [record for record in records if record.parent_id is None]
         assert [root.name for root in roots] == ["request"]
         by_name = {record.name: record for record in records}
         assert by_name["batch"].parent_id == roots[0].span_id
-        assert by_name["batch"].attrs["mode"] == worker_mode
         names = {record.name for record in records}
         assert {"request", "batch", "pair", "canonicalize", "plan-cache", "advance"} <= names
         assert by_name["canonicalize"].parent_id == roots[0].span_id
@@ -188,8 +166,8 @@ class TestBatchSpanTree:
         outcomes = {record.attrs.get("outcome") for record in pair_spans}
         assert outcomes == {"contained", "not_contained"}
 
-    def test_advances_attach_under_their_pair(self, worker_mode):
-        records = self.run_traced_batch(worker_mode)
+    def test_advances_attach_under_their_pair(self):
+        records = self.run_traced_batch()
         pair_ids = {
             record.span_id for record in records if record.name == "pair"
         }

@@ -212,6 +212,39 @@ class TestAdmissionControl:
         assert degraded.degraded
         assert degraded.verdicts[0].source == "plan-cache"
 
+    def test_degraded_request_shares_cache_stats_and_store(self, tmp_path):
+        daemon = ContainmentDaemon(
+            options=BatchOptions(store_path=str(tmp_path / "verdicts.sqlite")),
+            shed=ShedOptions(max_queue_depth=1, policy="degrade", degrade_pair_budget=1e-9),
+        )
+        service = daemon.service
+        warm = daemon.handle_batch(batch_request((TRIANGLE_TEXT, VEE_TEXT)))
+        assert warm.verdicts[0].source == "solved"
+        assert len(service.store) == 1
+        # The memory tier is gone, so the cached pair can only come back
+        # through the shared store; the fresh pair runs under the tiny budget.
+        service.clear_cache()
+        degraded = _run_while_gate_is_held(
+            daemon,
+            batch_request((TRIANGLE_TEXT, VEE_TEXT), ("R(x,y), R(y,z)", "R(a,b)")),
+        )
+        assert degraded.degraded
+        stored, fresh = degraded.verdicts
+        assert stored.source == "store"
+        assert stored.status == "contained"
+        assert (fresh.status, fresh.method) == ("unknown", "budget-exhausted")
+        # Shared stats: the degraded request counted on the daemon's service.
+        assert service.stats.requests_degraded == 1
+        assert service.stats.store_hits == 1
+        assert service.stats.pairs_over_budget == 1
+        # Shared cache: the store hit was promoted into the daemon's cache.
+        assert len(service.cache) == 1
+        # The service itself keeps its configured (unbounded) budget.
+        assert service.options.pair_budget is None
+        after = daemon.handle_batch(batch_request(("R(x,y), R(y,z)", "R(a,b)")))
+        assert after.verdicts[0].status != "unknown"
+        service.close()
+
     def test_burst_admission_respects_the_bound(self):
         # Regression for the check-then-act race: N concurrent arrivals must
         # never exceed max_queue_depth, so with the gate held and depth 1,
