@@ -7,13 +7,20 @@ one-shot HiGHS, native ``highspy``, and any test-local backend).  The tier-1
 CI job greps this line to prove that every path that should have run did:
 ``dense``, ``rowgen`` and the ``scipy`` backend always, the ``highs``
 backend only on legs where ``highspy`` is installed.
+
+The ``lp_backend_knob`` fixture adds one test-only backend id,
+``"scipy-drop"``, for harnesses that take backend names.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from dataclasses import replace
+
 import pytest
 
-from repro.lp.backends import highs_available
+from repro.lp import rowgen
+from repro.lp.backends import ScipyBackend, highs_available
 from repro.lp.solver import backend_path_counts, solver_path_counts
 
 
@@ -39,6 +46,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         + ("" if not missing else f"  (WARNING: {', '.join(missing)} never exercised)")
     )
 
+
 from repro.cq.parser import parse_query
 from repro.cq.structures import Relation, Structure
 from repro.infotheory.functions import parity_function
@@ -48,6 +56,38 @@ from repro.workloads.paper_examples import (
     example_5_2_inequality,
     vee_example,
 )
+
+
+@contextmanager
+def _backend_knob(name):
+    """Yield the ``lp_backend`` knob value that runs the test backend ``name``.
+
+    ``"scipy-drop"`` is scipy declared warm-started, with every cutting-plane
+    loop deleting strictly slack rows from the first round on (not only once
+    the active set reaches ``RowGenOptions.drop_min_rows``).  Slack-row
+    deletion otherwise runs only where ``highspy`` is installed; this runs
+    it on every install, through entry points that only take backend names.
+    Every other name passes through unchanged.
+    """
+    if name != "scipy-drop":
+        yield name
+        return
+    delete = rowgen._delete_slack_rows
+
+    def delete_from_the_first_row(model, ledger, oracle, solution, options, key=None):
+        options = replace(options, drop_min_rows=0)
+        delete(model, ledger, oracle, solution, options, key)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScipyBackend, "warm_started", True)
+        patch.setattr(rowgen, "_delete_slack_rows", delete_from_the_first_row)
+        yield "scipy"
+
+
+@pytest.fixture(scope="session")
+def lp_backend_knob():
+    """``with lp_backend_knob(name) as knob:`` — see :func:`_backend_knob`."""
+    return _backend_knob
 
 
 @pytest.fixture

@@ -14,7 +14,8 @@ loop — returning
 * genuine cone points for every feasible answer.
 
 ``rowgen`` on ``scipy`` runs the cutting-plane loop every backend shares on
-the always-installed solver, so the loop is compared on every CI leg; the
+the always-installed solver, so the loop is compared on every CI leg, and
+``scipy-drop`` runs it deleting slack rows from the first round; the
 ``highs`` cells are skipped cleanly when ``highspy`` is absent and lock down
 the native warm-started backend (slack-row deletion included) when it is
 installed.
@@ -41,11 +42,13 @@ needs_highspy = pytest.mark.skipif(
     not highs_available(), reason="highspy is not installed"
 )
 
-#: Every backend the equivalence matrix covers.
-BACKENDS = ["scipy", pytest.param("highs", marks=needs_highspy)]
+#: Every backend the equivalence matrix covers; ``scipy-drop`` is the
+#: test-only slack-deleting scipy of ``tests/conftest.py``.
+BACKENDS = ["scipy", "scipy-drop", pytest.param("highs", marks=needs_highspy)]
 #: Every (backend, lp_method) cell except the dense-on-scipy reference.
 CELLS = [
     ("scipy", "rowgen"),
+    ("scipy-drop", "rowgen"),
     pytest.param("highs", "dense", marks=needs_highspy),
     pytest.param("highs", "rowgen", marks=needs_highspy),
 ]
@@ -77,14 +80,17 @@ def random_expressions(draw, min_n=2, max_n=6):
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=30, deadline=None)
 @given(random_expressions())
-def test_minimum_over_gamma_agrees_across_backends(backend, expression):
+def test_minimum_over_gamma_agrees_across_backends(
+    backend, lp_backend_knob, expression
+):
     prover = shannon_prover(expression.ground)
     reference, _ = prover.minimum_over_gamma(
         expression, method="dense", backend="scipy"
     )
-    value, point = prover.minimum_over_gamma(
-        expression, method="rowgen", backend=backend
-    )
+    with lp_backend_knob(backend) as knob:
+        value, point = prover.minimum_over_gamma(
+            expression, method="rowgen", backend=knob
+        )
     assert value == pytest.approx(reference, abs=TOLERANCE)
     # A non-early-stopped minimizer must genuinely be a polymatroid; the
     # early-stop contract returns the zero polymatroid, which trivially is.
@@ -96,22 +102,25 @@ def test_minimum_over_gamma_agrees_across_backends(backend, expression):
 @settings(max_examples=20, deadline=None)
 @given(random_expressions())
 def test_validity_verdicts_agree_across_backend_and_method(
-    backend, lp_method, expression
+    backend, lp_method, lp_backend_knob, expression
 ):
     prover = shannon_prover(expression.ground)
     reference = prover.is_valid(expression, method="dense", backend="scipy")
-    assert (
-        prover.is_valid(expression, method=lp_method, backend=backend) == reference
-    )
+    with lp_backend_knob(backend) as knob:
+        valid = prover.is_valid(expression, method=lp_method, backend=knob)
+    assert valid == reference
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=15, deadline=None)
 @given(random_expressions())
-def test_certificates_verify_independently_across_backends(backend, expression):
+def test_certificates_verify_independently_across_backends(
+    backend, lp_backend_knob, expression
+):
     prover = shannon_prover(expression.ground)
     valid = prover.is_valid(expression, method="dense", backend="scipy")
-    certificate = prover.certificate(expression, method="rowgen", backend=backend)
+    with lp_backend_knob(backend) as knob:
+        certificate = prover.certificate(expression, method="rowgen", backend=knob)
     assert (certificate is not None) == valid
     if valid:
         assert certificate.verify(expression, tolerance=1e-5)
@@ -124,13 +133,16 @@ def test_certificates_verify_independently_across_backends(backend, expression):
     st.integers(min_value=2, max_value=5),
     st.integers(min_value=1, max_value=3),
 )
-def test_find_point_below_verdicts_agree(backend, lp_method, seed, n, branches):
+def test_find_point_below_verdicts_agree(
+    backend, lp_method, lp_backend_knob, seed, n, branches
+):
     max_ii = random_max_ii(n, branches, seed=seed)
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     cone = cone_by_name("gamma", ground)
     expressions = [branch.with_ground(ground) for branch in max_ii.branches]
     reference = cone.find_point_below(expressions, method="dense", backend="scipy")
-    point = cone.find_point_below(expressions, method=lp_method, backend=backend)
+    with lp_backend_knob(backend) as knob:
+        point = cone.find_point_below(expressions, method=lp_method, backend=knob)
     assert (reference is None) == (point is None)
     if point is not None:
         function = point.function
@@ -152,7 +164,7 @@ def test_find_point_below_verdicts_agree(backend, lp_method, seed, n, branches):
         max_size=5,
     ),
 )
-def test_batched_cone_decisions_agree(backend, seed, n, specs):
+def test_batched_cone_decisions_agree(backend, lp_backend_knob, seed, n, specs):
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     cone = cone_by_name("gamma", ground)
     expression_lists = [
@@ -165,9 +177,10 @@ def test_batched_cone_decisions_agree(backend, seed, n, specs):
     reference = cone.find_points_below_many(
         expression_lists, method="dense", backend="scipy"
     )
-    points = cone.find_points_below_many(
-        expression_lists, method="rowgen", backend=backend
-    )
+    with lp_backend_knob(backend) as knob:
+        points = cone.find_points_below_many(
+            expression_lists, method="rowgen", backend=knob
+        )
     assert [p is None for p in reference] == [p is None for p in points]
 
 
@@ -178,21 +191,22 @@ def test_batched_cone_decisions_agree(backend, seed, n, specs):
     st.sampled_from([1, 32]),
 )
 def test_batch_service_statuses_identical_across_backends(
-    backend, lp_method, seed, chunk_size
+    backend, lp_method, lp_backend_knob, seed, chunk_size
 ):
     pairs = mixed_containment_pairs(8, seed=seed)
     reference = decide_containment_many(
         pairs, chunk_size=chunk_size, lp_method="dense", lp_backend="scipy"
     )
-    results = decide_containment_many(
-        pairs, chunk_size=chunk_size, lp_method=lp_method, lp_backend=backend
-    )
+    with lp_backend_knob(backend) as knob:
+        results = decide_containment_many(
+            pairs, chunk_size=chunk_size, lp_method=lp_method, lp_backend=knob
+        )
     assert [r.status for r in reference] == [r.status for r in results]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("n", [7, 8])
-def test_larger_arity_spot_checks_agree(backend, n):
+def test_larger_arity_spot_checks_agree(backend, n, lp_backend_knob):
     """Deterministic n ∈ {7, 8} instances (too slow to run under hypothesis)."""
     ground = tuple(f"X{i}" for i in range(1, n + 1))
     prover = ShannonProver(ground)
@@ -216,7 +230,9 @@ def test_larger_arity_spot_checks_agree(backend, n):
     )
     for expression, expected in ((han, True), (bad, False)):
         reference = prover.is_valid(expression, method="dense", backend="scipy")
-        valid = prover.is_valid(expression, method="rowgen", backend=backend)
+        with lp_backend_knob(backend) as knob:
+            valid = prover.is_valid(expression, method="rowgen", backend=knob)
         assert reference == valid == expected
-    certificate = prover.certificate(han, method="rowgen", backend=backend)
+    with lp_backend_knob(backend) as knob:
+        certificate = prover.certificate(han, method="rowgen", backend=knob)
     assert certificate is not None and certificate.verify(han, tolerance=1e-5)

@@ -230,6 +230,45 @@ def _invalid_pair_objective(ground):
     return prover.expression_vector(expression)
 
 
+def _dense_optimum(objective, oracle):
+    """The one-shot LP over every elemental row at once."""
+    cone = oracle.full_matrix()
+    return ScipyBackend().solve(
+        objective, A_ub=-cone, b_ub=np.zeros(cone.shape[0]), bounds=(0, 1)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rowgen_loop_matches_the_dense_optimum(n):
+    ground = GROUNDS[n]
+    oracle = shannon_row_oracle(ground)
+    objective = _invalid_pair_objective(ground)
+    dense = _dense_optimum(objective, oracle)
+    result = minimize_lazy(objective, oracle, bounds=(0, 1), backend="scipy")
+    assert dense.status == result.status == LPStatus.OPTIMAL
+    assert result.objective == pytest.approx(dense.objective, abs=1e-8)
+    assert result.rowgen.backend == "scipy"
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_slack_deleting_loop_matches_the_dense_optimum(n):
+    """One cut per round leaves earlier rows slack; deleting them is safe."""
+    ground = GROUNDS[n]
+    oracle = shannon_row_oracle(ground)
+    objective = _invalid_pair_objective(ground)
+    dense = _dense_optimum(objective, oracle)
+    result = minimize_lazy(
+        objective,
+        oracle,
+        bounds=(0, 1),
+        options=RowGenOptions(drop_min_rows=0, max_cuts_per_round=1),
+        backend=_WarmScipyBackend(),
+    )
+    assert dense.status == result.status == LPStatus.OPTIMAL
+    assert result.objective == pytest.approx(dense.objective, abs=1e-8)
+    assert result.rowgen.rows_dropped > 0
+
+
 def test_adversarial_dropping_terminates_and_stays_correct():
     """Drop *every* non-permanent row each round; the guard must converge.
 

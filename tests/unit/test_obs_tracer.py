@@ -1,8 +1,9 @@
 """Tests for span tracing: tracer mechanics, tree well-formedness, summaries.
 
 The well-formedness class is the one the telemetry hangs its hat on: a
-traced threaded batch must produce a single span tree with no orphans, no
-duplicate ids, and every child's interval inside its parent's.
+traced batch — run inline *and* on the thread pool, whose chunk solves
+parent their spans explicitly — must produce a single span tree with no
+orphans, no duplicate ids, and every child's interval inside its parent's.
 """
 
 import io
@@ -120,8 +121,9 @@ class TestTracerMechanics:
         assert names == ["floating", "outer", "retro"]
 
 
+@pytest.mark.parametrize("max_workers", [1, 2], ids=["inline", "thread"])
 class TestBatchSpanTree:
-    def run_traced_batch(self):
+    def run_traced_batch(self, max_workers):
         pairs = [
             (
                 parse_query("R(x,y), R(y,z), R(z,x)", name="tri"),
@@ -137,7 +139,7 @@ class TestBatchSpanTree:
             ),
         ]
         service = ContainmentService(
-            BatchOptions(max_workers=2, on_error="capture")
+            BatchOptions(max_workers=max_workers, on_error="capture")
         )
         with tracing() as tracer:
             report = service.run(pairs)
@@ -145,12 +147,12 @@ class TestBatchSpanTree:
         assert all(result.status.value != "unknown" for result in report.results)
         return tracer.records()
 
-    def test_tree_is_well_formed(self):
-        records = self.run_traced_batch()
+    def test_tree_is_well_formed(self, max_workers):
+        records = self.run_traced_batch(max_workers)
         well_formed(records)
 
-    def test_single_request_root_and_expected_phases(self):
-        records = self.run_traced_batch()
+    def test_single_request_root_and_expected_phases(self, max_workers):
+        records = self.run_traced_batch(max_workers)
         roots = [record for record in records if record.parent_id is None]
         assert [root.name for root in roots] == ["request"]
         by_name = {record.name: record for record in records}
@@ -166,8 +168,8 @@ class TestBatchSpanTree:
         outcomes = {record.attrs.get("outcome") for record in pair_spans}
         assert outcomes == {"contained", "not_contained"}
 
-    def test_advances_attach_under_their_pair(self):
-        records = self.run_traced_batch()
+    def test_advances_attach_under_their_pair(self, max_workers):
+        records = self.run_traced_batch(max_workers)
         pair_ids = {
             record.span_id for record in records if record.name == "pair"
         }

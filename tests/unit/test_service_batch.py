@@ -154,6 +154,20 @@ class TestContainmentService:
         assert results[0].status == ContainmentStatus.UNKNOWN
         assert results[0].method == "budget-exhausted"
 
+    def test_per_call_pair_budget_applies_to_that_call_only(self):
+        service = ContainmentService(on_error="capture")
+        starved = service.run([(TRIANGLE, VEE)], pair_budget=0.0)
+        assert starved.results[0].method == "budget-exhausted"
+        solved = service.run([(TRIANGLE, VEE)])
+        assert solved.results[0].status == ContainmentStatus.CONTAINED
+        assert service.options.pair_budget is None
+
+    def test_per_call_pair_budget_none_lifts_the_configured_budget(self):
+        service = ContainmentService(pair_budget=0.0, on_error="capture")
+        report = service.run([(TRIANGLE, VEE)], pair_budget=None)
+        assert report.results[0].status == ContainmentStatus.CONTAINED
+        assert service.options.pair_budget == 0.0
+
     def test_budget_exhausted_results_are_not_cached(self):
         service = ContainmentService(pair_budget=0.0)
         service.run([(TRIANGLE, VEE)])
