@@ -1,18 +1,16 @@
-"""A1 — homomorphism-counting ablation: backtracking vs. tree-decomposition DP.
+"""A1 — homomorphism-counting ablation: tensor contraction vs. enumeration.
 
-The substrate every decision rests on.  Expected shape: on acyclic queries
-over growing databases, the Yannakakis-style dynamic program scales
-polynomially while naive backtracking degrades with the number of
-homomorphisms; both return identical counts.
+The substrate every decision rests on.  ``count_query_homomorphisms``
+contracts 0/1 relation tensors; the backtracking enumerator
+``query_homomorphisms`` lists every homomorphism and is the counter's
+oracle.  Expected shape: on a path query over growing databases the
+contraction stays polynomial in the domain size while enumeration grows with
+the number of homomorphisms; both return identical counts.
 """
 
 import pytest
 
-from repro.cq.decompositions import join_tree
-from repro.cq.homomorphism import (
-    count_homomorphisms_via_decomposition,
-    count_query_homomorphisms,
-)
+from repro.cq.homomorphism import count_query_homomorphisms, query_homomorphisms
 from repro.workloads.generators import path_query, random_database
 
 
@@ -20,22 +18,22 @@ def _database(size):
     return random_database({"R": 2}, domain_size=size, tuples_per_relation=3 * size, seed=size)
 
 
-@pytest.mark.parametrize("domain_size", [4, 8, 12])
-def test_backtracking_counting(benchmark, record, domain_size):
-    query = path_query(4)
-    database = _database(domain_size)
-    count = benchmark(
-        count_query_homomorphisms, query, database, None, "backtracking"
-    )
-    record(experiment="A1", engine="backtracking", domain_size=domain_size, count=count)
+def _enumerated_count(query, database):
+    return sum(1 for _ in query_homomorphisms(query, database))
 
 
 @pytest.mark.parametrize("domain_size", [4, 8, 12])
-def test_decomposition_counting(benchmark, record, domain_size):
+def test_enumeration_counting(benchmark, record, domain_size):
     query = path_query(4)
     database = _database(domain_size)
-    tree = join_tree(query)
-    count = benchmark(count_homomorphisms_via_decomposition, query, database, tree)
-    expected = count_query_homomorphisms(query, database, method="backtracking")
-    assert count == expected
-    record(experiment="A1", engine="decomposition", domain_size=domain_size, count=count)
+    count = benchmark(_enumerated_count, query, database)
+    record(experiment="A1", engine="enumeration", domain_size=domain_size, count=count)
+
+
+@pytest.mark.parametrize("domain_size", [4, 8, 12])
+def test_contraction_counting(benchmark, record, domain_size):
+    query = path_query(4)
+    database = _database(domain_size)
+    count = benchmark(count_query_homomorphisms, query, database)
+    assert count == _enumerated_count(query, database)
+    record(experiment="A1", engine="contraction", domain_size=domain_size, count=count)

@@ -5,26 +5,31 @@ Boolean conjunctive query ``Q`` on a database ``D`` under bag-set semantics
 is ``|hom(Q, D)|``, and ``Q1 ⊑ Q2`` means ``|hom(Q1, D)| ≤ |hom(Q2, D)|`` for
 every ``D``.
 
-Two counting engines are provided:
-
-* a generic backtracking engine (:func:`query_homomorphisms`) that works for
-  every query and also powers structure-to-structure homomorphism counting;
-* a tree-decomposition engine
-  (:func:`count_homomorphisms_via_decomposition`), the Yannakakis-style
-  dynamic program, which is exponentially faster on acyclic / bounded-width
-  queries and serves as the "substrate" baseline for the A1 ablation
-  benchmark.
+:func:`count_query_homomorphisms` is the one counter: it contracts 0/1
+relation tensors with :func:`numpy.einsum`.  The backtracking enumerator
+:func:`query_homomorphisms` lists the homomorphisms themselves, answers the
+``exists_*`` questions, counts whatever the contraction's cell budget
+excludes, and is the independent oracle the counter is tested (and stored
+witnesses are audited) against.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+
+import numpy as np
 
 from repro.cq.query import Atom, ConjunctiveQuery
 from repro.cq.structures import Structure, canonical_structure
-from repro.exceptions import QueryError
 
 Assignment = Dict[str, object]
+
+#: Most cells one contraction step may span; larger counts are enumerated.
+_CELL_BUDGET = 1 << 20
+#: Distinct axes numpy's einsum sublist format accepts.
+_MAX_AXES = 52
 
 
 # ---------------------------------------------------------------------- #
@@ -111,34 +116,110 @@ def count_query_homomorphisms(
     query: ConjunctiveQuery,
     structure: Structure,
     fixed: Optional[Mapping[str, object]] = None,
-    method: str = "auto",
 ) -> int:
     """Count ``|hom(Q, D)|`` (restricted to assignments extending ``fixed``).
 
-    ``method`` is one of ``"auto"``, ``"backtracking"`` or ``"decomposition"``.
-    ``"auto"`` uses the tree-decomposition dynamic program when the query is
-    acyclic and no variables are fixed, and backtracking otherwise.
+    Every atom becomes a 0/1 tensor over the domain indexed by its variables
+    (a repeated variable is a repeated axis, i.e. a diagonal) and every fixed
+    variable a one-hot vector; each connected component of the query is the
+    full contraction of its tensors along a greedy pairwise path, and the
+    count is the product over components.  Components whose count could reach
+    ``2**62`` contract exact Python ints.  A component with more axes than
+    einsum accepts, or whose contraction would span more than
+    ``_CELL_BUDGET`` cells in one step, is counted by the enumerator instead.
     """
-    if method not in {"auto", "backtracking", "decomposition"}:
-        raise QueryError(f"unknown homomorphism counting method {method!r}")
-    if method in {"auto", "decomposition"} and not fixed:
-        from repro.cq.decompositions import is_acyclic, join_tree
+    fixed = dict(fixed) if fixed else {}
+    index = {value: position for position, value in enumerate(structure.domain)}
+    if any(value not in index for value in fixed.values()):
+        return 0
+    count = 1
+    for atoms in _connected_components(query.atoms):
+        count *= _count_connected(atoms, structure, index, fixed)
+        if not count:
+            break
+    return count
 
-        try:
-            if is_acyclic(query):
-                return count_homomorphisms_via_decomposition(
-                    query, structure, join_tree(query)
-                )
-            if method == "decomposition":
-                from repro.cq.decompositions import heuristic_tree_decomposition
 
-                return count_homomorphisms_via_decomposition(
-                    query, structure, heuristic_tree_decomposition(query)
-                )
-        except QueryError:
-            # A bag would materialize too many assignments; fall back to the
-            # memory-frugal backtracking count.
-            pass
+def _connected_components(atoms: Tuple[Atom, ...]) -> List[Tuple[Atom, ...]]:
+    """Group the atoms into classes linked by shared variables."""
+    groups: List[Tuple[set, List[Atom]]] = []
+    for atom in atoms:
+        variables, members = set(atom.args), [atom]
+        for group in [group for group in groups if group[0] & variables]:
+            groups.remove(group)
+            variables |= group[0]
+            members = group[1] + members
+        groups.append((variables, members))
+    return [tuple(members) for _, members in groups]
+
+
+def _count_connected(
+    atoms: Tuple[Atom, ...],
+    structure: Structure,
+    index: Mapping[object, int],
+    fixed: Mapping[str, object],
+) -> int:
+    """Count the homomorphisms of one connected component into ``structure``.
+
+    Einsum returns a fully contracted object-dtype intermediate as a Python
+    int, which a later step would cast back to int64; in a connected
+    component only the last step contracts to a scalar, so counts stay exact.
+    """
+    rows: Dict[str, List[Tuple]] = {}
+    for atom in atoms:
+        if atom.relation not in rows:
+            rows[atom.relation] = [
+                row for row in structure.tuples(atom.relation) if len(row) == atom.arity
+            ]
+        if not rows[atom.relation]:
+            return 0
+    component = ConjunctiveQuery(atoms=atoms)
+    axis = {variable: position for position, variable in enumerate(component.variables)}
+    size = len(index)
+    if len(axis) > _MAX_AXES or any(size**atom.arity > _CELL_BUDGET for atom in atoms):
+        return _enumerated_count(component, structure, fixed)
+
+    bound = math.prod(len(rows[atom.relation]) for atom in atoms)
+    dtype = object if bound >= 1 << 62 else np.int64
+    tensors: Dict[str, np.ndarray] = {}
+    for relation, relation_rows in rows.items():
+        tensor = np.zeros((size,) * len(relation_rows[0]), dtype=dtype)
+        tensor[tuple(np.array([[index[v] for v in row] for row in relation_rows]).T)] = 1
+        tensors[relation] = tensor
+    operands: List[object] = []
+    for atom in atoms:
+        operands += [tensors[atom.relation], [axis[v] for v in atom.args]]
+    for variable, value in fixed.items():
+        if variable in axis:
+            one_hot = np.zeros(size, dtype=dtype)
+            one_hot[index[value]] = 1
+            operands += [one_hot, [axis[variable]]]
+    path = np.einsum_path(*operands, [], optimize=("greedy", _CELL_BUDGET))[0]
+    if not _path_within_budget(path, operands[1::2], size):
+        return _enumerated_count(component, structure, fixed)
+    return int(np.einsum(*operands, [], optimize=path))
+
+
+def _path_within_budget(path: List, sublists: List[List[int]], size: int) -> bool:
+    """True when no step of an einsum ``path`` spans more than ``_CELL_BUDGET`` cells.
+
+    A step's cost and its temporaries are bounded by the index space of the
+    axes it touches; every axis has length ``size``.  Steps contract the
+    listed operands and append the result, as :func:`numpy.einsum` does.
+    """
+    live = [set(sublist) for sublist in sublists]
+    for step in path[1:]:
+        spanned = set().union(*(live[position] for position in step))
+        if size ** len(spanned) > _CELL_BUDGET:
+            return False
+        live = [axes for position, axes in enumerate(live) if position not in step]
+        live.append(spanned & set().union(*live))
+    return True
+
+
+def _enumerated_count(
+    query: ConjunctiveQuery, structure: Structure, fixed: Mapping[str, object]
+) -> int:
     return sum(1 for _ in query_homomorphisms(query, structure, fixed=fixed))
 
 
@@ -156,12 +237,13 @@ def exists_query_homomorphism(
 # ---------------------------------------------------------------------- #
 # Structure-to-structure homomorphisms
 # ---------------------------------------------------------------------- #
-def _structure_as_query(structure: Structure) -> Tuple[ConjunctiveQuery, Tuple]:
+def _structure_as_query(structure: Structure) -> Tuple[Optional[ConjunctiveQuery], Tuple]:
     """View a structure as a Boolean query (facts become atoms).
 
-    Returns the query together with the tuple of isolated domain elements
-    (elements that appear in no fact); those are unconstrained and multiply
-    the homomorphism count by ``|target domain|`` each.
+    Returns the query (``None`` when the structure has no facts) together
+    with the tuple of isolated domain elements (elements that appear in no
+    fact); those are unconstrained and multiply the homomorphism count by
+    ``|target domain|`` each.
     """
     atoms = []
     used = set()
@@ -169,9 +251,8 @@ def _structure_as_query(structure: Structure) -> Tuple[ConjunctiveQuery, Tuple]:
         atoms.append(Atom(name, tuple(f"__elem_{value!r}" for value in row)))
         used.update(row)
     isolated = tuple(sorted((structure.domain - used), key=str))
-    if not atoms:
-        raise QueryError("structure with no facts cannot be viewed as a query")
-    return ConjunctiveQuery(atoms=tuple(atoms), head=()), isolated
+    query = ConjunctiveQuery(atoms=tuple(atoms), head=()) if atoms else None
+    return query, isolated
 
 
 def homomorphisms(source: Structure, target: Structure) -> Iterator[Dict]:
@@ -179,34 +260,25 @@ def homomorphisms(source: Structure, target: Structure) -> Iterator[Dict]:
     query, isolated = _structure_as_query(source)
     reverse = {f"__elem_{value!r}": value for value in source.domain}
     target_domain = sorted(target.domain, key=str)
-
-    def attach_isolated(core: Dict) -> Iterator[Dict]:
-        if not isolated:
-            yield core
-            return
-        import itertools
-
+    cores = query_homomorphisms(query, target) if query is not None else [{}]
+    for assignment in cores:
+        core = {reverse[variable]: value for variable, value in assignment.items()}
         for values in itertools.product(target_domain, repeat=len(isolated)):
             mapping = dict(core)
-            mapping.update(dict(zip(isolated, values)))
+            mapping.update(zip(isolated, values))
             yield mapping
-
-    for assignment in query_homomorphisms(query, target):
-        core = {reverse[variable]: value for variable, value in assignment.items()}
-        yield from attach_isolated(core)
 
 
 def count_homomorphisms(source: Structure, target: Structure) -> int:
     """Count ``|hom(source, target)|`` between two structures."""
     query, isolated = _structure_as_query(source)
-    base = count_query_homomorphisms(query, target)
+    base = count_query_homomorphisms(query, target) if query is not None else 1
     return base * (len(target.domain) ** len(isolated))
 
 
 def exists_homomorphism(source: Structure, target: Structure) -> bool:
     """True when a homomorphism ``source → target`` exists."""
-    query, _ = _structure_as_query(source)
-    return exists_query_homomorphism(query, target)
+    return any(True for _ in homomorphisms(source, target))
 
 
 def query_to_query_homomorphisms(
@@ -228,116 +300,3 @@ def count_query_to_query_homomorphisms(
 ) -> int:
     """Count homomorphisms between two queries."""
     return count_query_homomorphisms(source, canonical_structure(target))
-
-
-# ---------------------------------------------------------------------- #
-# Tree-decomposition (Yannakakis-style) counting
-# ---------------------------------------------------------------------- #
-_MAX_BAG_ROWS = 500_000
-
-
-def _bag_assignments(
-    query: ConjunctiveQuery,
-    structure: Structure,
-    bag: frozenset,
-    covered_atoms: Tuple[Atom, ...],
-) -> List[Tuple]:
-    """All assignments of the bag variables satisfying the bag's atoms.
-
-    The bag's variables that are not constrained by any covered atom range
-    over the whole domain of the structure.  To keep memory bounded the
-    materialization refuses to build more than ``_MAX_BAG_ROWS`` rows (the
-    caller falls back to backtracking in that case).
-    """
-    variables = tuple(sorted(bag))
-    sub_query_atoms = covered_atoms
-    constrained = set()
-    for atom in sub_query_atoms:
-        constrained.update(atom.variable_set)
-    free = [v for v in variables if v not in constrained]
-
-    assignments: List[Dict[str, object]] = []
-    if sub_query_atoms:
-        sub_query = ConjunctiveQuery(atoms=sub_query_atoms, head=())
-        assignments = list(query_homomorphisms(sub_query, structure))
-    else:
-        assignments = [{}]
-
-    import itertools
-
-    domain = sorted(structure.domain, key=str)
-    estimated = len(assignments) * (len(domain) ** len(free))
-    if estimated > _MAX_BAG_ROWS:
-        raise QueryError(
-            f"bag over {variables} would materialize ~{estimated} assignments"
-        )
-    rows: List[Tuple] = []
-    for assignment in assignments:
-        if free:
-            for values in itertools.product(domain, repeat=len(free)):
-                full = dict(assignment)
-                full.update(dict(zip(free, values)))
-                rows.append(tuple(full[v] for v in variables))
-        else:
-            rows.append(tuple(assignment[v] for v in variables))
-    return rows
-
-
-def count_homomorphisms_via_decomposition(
-    query: ConjunctiveQuery, structure: Structure, decomposition
-) -> int:
-    """Count ``|hom(Q, D)|`` using a tree decomposition of ``Q``.
-
-    This is the classical dynamic program over a (rooted) tree decomposition:
-    every atom is assigned to one bag that covers it, each bag materializes
-    its satisfying assignments, and counts are aggregated bottom-up along the
-    tree.  For decompositions of bounded width this runs in polynomial time.
-    """
-    decomposition.validate(query)
-    assignment_of_atoms = decomposition.assign_atoms(query)
-    parent = decomposition.rooted_parents()
-    order = decomposition.topological_order()
-
-    variables_of = {node: tuple(sorted(decomposition.bags[node])) for node in order}
-    rows_of: Dict[object, List[Tuple]] = {}
-    for node in order:
-        rows_of[node] = _bag_assignments(
-            query, structure, decomposition.bags[node], assignment_of_atoms[node]
-        )
-
-    # weight[node][row] = number of homomorphisms of the subtree rooted at node
-    # whose restriction to the bag equals row.
-    weight: Dict[object, Dict[Tuple, int]] = {}
-    children: Dict[object, List[object]] = {node: [] for node in order}
-    for node, par in parent.items():
-        if par is not None:
-            children[par].append(node)
-
-    for node in reversed(order):
-        bag_vars = variables_of[node]
-        node_weights: Dict[Tuple, int] = {}
-        for row in rows_of[node]:
-            row_assignment = dict(zip(bag_vars, row))
-            total = 1
-            for child in children[node]:
-                child_vars = variables_of[child]
-                shared = [v for v in child_vars if v in row_assignment]
-                child_total = 0
-                for child_row, child_weight in weight[child].items():
-                    child_assignment = dict(zip(child_vars, child_row))
-                    if all(child_assignment[v] == row_assignment[v] for v in shared):
-                        child_total += child_weight
-                total *= child_total
-                if total == 0:
-                    break
-            node_weights[row] = node_weights.get(row, 0) + total
-        weight[node] = node_weights
-
-    # Multiply the root counts of each connected component of the forest and
-    # account for query variables not covered by any bag (there are none for
-    # valid decompositions, by the coverage property).
-    result = 1
-    for node in order:
-        if parent[node] is None:
-            result *= sum(weight[node].values())
-    return result

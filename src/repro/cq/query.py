@@ -22,7 +22,7 @@ Variable = str
 RelationName = str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Atom:
     """A single relational atom ``R(x_1, ..., x_a)``.
 
@@ -117,7 +117,7 @@ class Vocabulary:
         return len(self.arities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConjunctiveQuery:
     """A conjunctive query under bag-set semantics.
 

@@ -375,7 +375,7 @@ class ModularCone(_GeneratedCone):
 _CONES = {"gamma": GammaCone, "normal": NormalCone, "modular": ModularCone}
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=32)
 def _cone_instance(name: str, ground: Tuple[str, ...]) -> Cone:
     return _CONES[name](ground)
 

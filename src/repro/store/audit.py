@@ -15,8 +15,10 @@ the verdicts:
   expression over the stored elementals.
 * **NOT_CONTAINED with witness** — the canonical query pair is rebuilt from
   the record's key, booleanized, and the homomorphism counts into the stored
-  database are recounted; they must match the stored counts and separate the
-  queries (``|hom(Q1, D)| > |hom(Q2, D)|``).
+  database are recounted by the backtracking enumerator
+  (:func:`~repro.cq.homomorphism.query_homomorphisms`), independent of the
+  tensor-contraction counter that produced them; they must match the stored
+  counts and separate the queries (``|hom(Q1, D)| > |hom(Q2, D)|``).
 * **Anything else** (UNKNOWN verdicts, certificates skipped for size) is
   reported ``unchecked`` — present but carrying no re-checkable evidence.
 
@@ -31,7 +33,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.cq.homomorphism import count_query_homomorphisms
+from repro.cq.homomorphism import query_homomorphisms
 from repro.cq.reductions import to_boolean_pair
 from repro.core.containment import ContainmentStatus
 from repro.exceptions import CertificateError, ReproError
@@ -170,8 +172,9 @@ def _verify_witness_record(record: Dict[str, object], witness: Dict[str, object]
         return "unchecked"
     q1, q2 = queries_from_key(decode_key(record["key"]))
     boolean_q1, boolean_q2 = to_boolean_pair(q1, q2)
-    hom_q1 = count_query_homomorphisms(boolean_q1, rebuilt.database)
-    hom_q2 = count_query_homomorphisms(boolean_q2, rebuilt.database)
+    # The enumerator, not the serving counter: the recount is independent.
+    hom_q1 = sum(1 for _ in query_homomorphisms(boolean_q1, rebuilt.database))
+    hom_q2 = sum(1 for _ in query_homomorphisms(boolean_q2, rebuilt.database))
     if (hom_q1, hom_q2) != (rebuilt.hom_q1, rebuilt.hom_q2):
         raise CertificateError(
             "witness recount disagrees with the stored counts "

@@ -256,12 +256,13 @@ class SubsetLattice:
         return f"SubsetLattice(ground={self.ground!r})"
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def lattice_context(ground: Tuple[str, ...]) -> SubsetLattice:
     """The process-wide shared :class:`SubsetLattice` for a ground tuple.
 
     Bounded so long-running processes that see many distinct variable-name
-    tuples don't retain a lattice per tuple forever; evicted contexts stay
+    tuples don't retain a lattice per tuple forever (a 128-pair mixed batch
+    touches about 22 ground tuples, well inside the bound); evicted contexts stay
     alive only as long as live :class:`SetFunction` instances reference
     them, and a rebuilt context is bit-for-bit identical (the layout is
     purely positional).

@@ -1,6 +1,6 @@
 """Property-based tests for the conjunctive-query substrate."""
 
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cq.decompositions import (
@@ -9,7 +9,7 @@ from repro.cq.decompositions import (
     join_tree,
 )
 from repro.cq.evaluation import evaluate_bag, evaluate_set
-from repro.cq.homomorphism import count_query_homomorphisms
+from repro.cq.homomorphism import count_query_homomorphisms, query_homomorphisms
 from repro.cq.query import Atom, ConjunctiveQuery
 from repro.cq.reductions import saturate_database, saturate_query
 from repro.cq.structures import Structure
@@ -77,13 +77,27 @@ def test_join_tree_exists_iff_acyclic(query):
         assert raised
 
 
-@settings(max_examples=30, deadline=None)
-@given(queries(), databases())
-def test_decomposition_counting_matches_backtracking(query, database):
-    assume(is_acyclic(query))
-    assert count_query_homomorphisms(
-        query, database, method="decomposition"
-    ) == count_query_homomorphisms(query, database, method="backtracking")
+def sparse_databases():
+    """Only ``R``, possibly empty, over 1-4 elements: ``S`` atoms see no rows."""
+    return st.tuples(st.integers(1, 4), st.integers(0, 5), st.integers(0, 10**6)).map(
+        lambda args: random_database({"R": 2}, args[0], args[1], seed=args[2])
+    )
+
+
+def fixed_bindings():
+    """Optional pre-bound variables, some unused and some outside the domain."""
+    return st.one_of(
+        st.none(),
+        st.dictionaries(st.sampled_from(VARIABLES + ("v",)), st.integers(0, 3), max_size=2),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(queries(), st.one_of(databases(), sparse_databases()), fixed_bindings())
+def test_counter_matches_enumerator(query, database, fixed):
+    # Every query, cyclic ones included; the enumerator is the oracle.
+    enumerated = sum(1 for _ in query_homomorphisms(query, database, fixed=fixed))
+    assert count_query_homomorphisms(query, database, fixed=fixed) == enumerated
 
 
 @settings(max_examples=25, deadline=None)

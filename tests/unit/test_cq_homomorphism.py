@@ -1,11 +1,11 @@
 """Unit tests for homomorphism enumeration and counting."""
 
+import numpy as np
 import pytest
 
-from repro.cq.decompositions import heuristic_tree_decomposition, join_tree
 from repro.cq.homomorphism import (
+    _CELL_BUDGET,
     count_homomorphisms,
-    count_homomorphisms_via_decomposition,
     count_query_homomorphisms,
     count_query_to_query_homomorphisms,
     exists_homomorphism,
@@ -16,7 +16,12 @@ from repro.cq.homomorphism import (
 )
 from repro.cq.parser import parse_query
 from repro.cq.structures import Structure, canonical_structure
-from repro.workloads.generators import path_query, cycle_query
+from repro.workloads.generators import cycle_query, path_query, star_query
+
+
+def _enumerated(query, structure, fixed=None):
+    """The oracle: count by listing every homomorphism."""
+    return sum(1 for _ in query_homomorphisms(query, structure, fixed=fixed))
 
 
 def test_count_on_full_binary_relation(triangle_query, path2_query, small_database):
@@ -32,9 +37,7 @@ def test_count_on_directed_triangle(triangle_query, path2_query, triangle_databa
 
 def test_enumeration_matches_count(path2_query, small_database):
     listed = list(query_homomorphisms(path2_query, small_database))
-    assert len(listed) == count_query_homomorphisms(
-        path2_query, small_database, method="backtracking"
-    )
+    assert len(listed) == count_query_homomorphisms(path2_query, small_database)
     for assignment in listed:
         assert set(assignment) == {"Y1", "Y2", "Y3"}
 
@@ -76,35 +79,19 @@ def test_structure_homomorphisms_isolated_elements(small_database):
     assert count_homomorphisms(source, small_database) == 4 * 2
 
 
-def test_decomposition_counting_matches_backtracking(small_database, triangle_database):
-    for length in (1, 2, 3):
-        query = path_query(length)
-        for database in (small_database, triangle_database):
-            expected = count_query_homomorphisms(query, database, method="backtracking")
-            tree = join_tree(query)
-            assert (
-                count_homomorphisms_via_decomposition(query, database, tree) == expected
-            )
-
-
-def test_decomposition_counting_cyclic_query(triangle_database):
-    query = cycle_query(3)
-    expected = count_query_homomorphisms(query, triangle_database, method="backtracking")
-    decomposition = heuristic_tree_decomposition(query)
-    assert (
-        count_homomorphisms_via_decomposition(query, triangle_database, decomposition)
-        == expected
-    )
-
-
-def test_auto_method_agrees_with_backtracking(small_database):
-    query = parse_query("R(a,b), R(b,c), S(c,d)")
-    database = Structure.from_facts(
+def test_counter_matches_enumerator_on_paths_and_cycles(
+    small_database, triangle_database
+):
+    mixed = Structure.from_facts(
         [("R", (0, 1)), ("R", (1, 0)), ("R", (1, 1)), ("S", (1, 0)), ("S", (0, 0))]
     )
-    assert count_query_homomorphisms(query, database) == count_query_homomorphisms(
-        query, database, method="backtracking"
-    )
+    queries = [path_query(length) for length in (1, 2, 3)]
+    queries += [cycle_query(3), cycle_query(4), parse_query("R(a,b), R(b,c), S(c,d)")]
+    for query in queries:
+        for database in (small_database, triangle_database, mixed):
+            assert count_query_homomorphisms(query, database) == _enumerated(
+                query, database
+            )
 
 
 def test_disjoint_copies_multiplicativity(triangle_query, small_database):
@@ -114,6 +101,83 @@ def test_disjoint_copies_multiplicativity(triangle_query, small_database):
     assert count_query_homomorphisms(doubled, small_database) == single**2
 
 
-def test_unknown_method_rejected(triangle_query, small_database):
-    with pytest.raises(Exception):
-        count_query_homomorphisms(triangle_query, small_database, method="nope")
+# A binary relation on ``size`` elements with a handful of edges.
+def _sparse(size):
+    return Structure.from_facts(
+        [("R", (i, (i + 1) % size)) for i in range(5)] + [("R", (0, 2))],
+        domain=range(size),
+    )
+
+
+_REFLEXIVE = Structure.from_facts([("R", (0, 0)), ("R", (0, 1)), ("R", (1, 1))])
+_FULL4 = Structure.from_facts([("R", (a, b)) for a in range(4) for b in range(4)])
+# Smallest domain whose binary relation tensor exceeds the cell budget.
+_PAST_BUDGET = int(_CELL_BUDGET**0.5) + 1
+# A domain whose binary tensors fit but whose 3-axis contraction step does not.
+_PAST_STEP_BUDGET = int(round(_CELL_BUDGET ** (1 / 3))) + 1
+
+COUNTER_CASES = {
+    "repeated-variable": (parse_query("R(x,x)"), _REFLEXIVE, None, 2),
+    "repeated-variable-join": (parse_query("R(x,x), R(x,y)"), _REFLEXIVE, None, 3),
+    "self-join": (parse_query("R(x,y), R(y,x)"), _REFLEXIVE, None, 2),
+    "absent-relation": (parse_query("R(x,y), S(y,z)"), _REFLEXIVE, None, 0),
+    "arity-mismatch": (parse_query("R(x,y,z)"), _REFLEXIVE, None, 0),
+    "fixed-outside-domain": (parse_query("R(x,y)"), _REFLEXIVE, {"x": 7}, 0),
+    "fixed-inside-domain": (parse_query("R(x,y)"), _REFLEXIVE, {"x": 0}, 2),
+    "fixed-unused-variable": (parse_query("R(x,y)"), _REFLEXIVE, {"q": 1}, 3),
+    "domain-past-cell-budget": (
+        parse_query("R(x,y), R(y,z)"), _sparse(_PAST_BUDGET), None, 5,
+    ),
+    "step-past-cell-budget": (
+        parse_query("R(x,y), R(y,z)"), _sparse(_PAST_STEP_BUDGET), None, 5,
+    ),
+    "connected-count-past-int64": (star_query(32), _FULL4, None, 4**33),
+    "disjoint-copies-past-int64": (
+        parse_query("R(x,y)").disjoint_copies(16), _FULL4, None, 2**64,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNTER_CASES))
+def test_counter_edge_cases(case):
+    query, database, fixed, expected = COUNTER_CASES[case]
+    count = count_query_homomorphisms(query, database, fixed=fixed)
+    assert count == expected and type(count) is int
+    if expected < 10**6:
+        assert _enumerated(query, database, fixed) == expected
+
+
+@pytest.mark.parametrize("case", ["domain-past-cell-budget", "step-past-cell-budget"])
+def test_over_budget_counts_fall_back_to_the_enumerator(case, monkeypatch):
+    query, database, fixed, expected = COUNTER_CASES[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("over-budget count reached the contraction")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    assert count_query_homomorphisms(query, database, fixed=fixed) == expected
+
+
+_EMPTY_SOURCE = Structure.from_facts([], domain=[5, 6])
+
+
+def test_count_homomorphisms_from_a_structure_without_facts(triangle_database):
+    # Every map of the 2-element domain into the 3-element one: 3^2.
+    assert count_homomorphisms(_EMPTY_SOURCE, triangle_database) == 9
+    assert count_homomorphisms(_EMPTY_SOURCE, Structure.from_facts([])) == 0
+
+
+def test_homomorphisms_from_a_structure_without_facts(triangle_database):
+    listed = list(homomorphisms(_EMPTY_SOURCE, triangle_database))
+    assert len(listed) == 9
+    assert {tuple(sorted(m.items())) for m in listed} == {
+        ((5, a), (6, b)) for a in (0, 1, 2) for b in (0, 1, 2)
+    }
+    assert list(homomorphisms(Structure.from_facts([]), triangle_database)) == [{}]
+
+
+def test_exists_homomorphism_from_a_structure_without_facts(triangle_database):
+    empty_target = Structure.from_facts([])
+    assert exists_homomorphism(_EMPTY_SOURCE, triangle_database)
+    assert not exists_homomorphism(_EMPTY_SOURCE, empty_target)
+    assert exists_homomorphism(Structure.from_facts([]), empty_target)

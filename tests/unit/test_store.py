@@ -3,6 +3,7 @@
 import json
 import sqlite3
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -173,6 +174,38 @@ class TestVerdictStore:
         store.close()
         with pytest.raises(StoreError):
             store.record(key, canonical)
+
+class TestWitnessAudit:
+    @staticmethod
+    def _records(*records):
+        """The one method of a store that ``verify_store`` reads."""
+        return SimpleNamespace(records=lambda: [(r["hash"], r) for r in records])
+
+    def test_altered_witness_count_fails_the_recount(self):
+        key, canonical = canonical_result(PATH2, EDGE)
+        record = build_record(key, canonical)
+        record["evidence"]["witness"]["hom_q1"] += 1
+        report = verify_store(self._records(record))
+        assert not report.ok
+        assert "witness recount disagrees" in report.failures[0][1]
+
+    def test_recount_is_independent_of_the_serving_counter(self, monkeypatch):
+        key, canonical = canonical_result(PATH2, EDGE)
+        record = build_record(key, canonical)
+
+        def serving_counter(*args, **kwargs):
+            raise AssertionError("the audit must not use the serving counter")
+
+        monkeypatch.setattr(
+            "repro.cq.homomorphism.count_query_homomorphisms", serving_counter
+        )
+        # Also any binding the audit module may have imported by name.
+        monkeypatch.setattr(
+            "repro.store.audit.count_query_homomorphisms", serving_counter, raising=False
+        )
+        report = verify_store(self._records(record))
+        assert report.ok
+        assert report.witnesses == 1
 
 
 def _corpus_query(record):
